@@ -255,13 +255,9 @@ def take_rows(a, indices):
     n = a.data.shape[0]
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise IndexError(f"take_rows: indices outside [0, {n})")
-
-    def backward(g):
-        grad = np.zeros_like(a.data)
-        kernels.scatter_add_rows(grad, indices, g)
-        return (grad,)
-
-    return _record(a.data[indices], (a,), backward)
+    return _record(
+        a.data[indices], (a,), lambda g: (kernels.segment_sum(g, indices, n),)
+    )
 
 
 def reduce_sum(a, axis=None):

@@ -1,165 +1,59 @@
 """Hot numeric kernels: segment aggregation and pairwise L1 distances.
 
-Each kernel has a numba implementation and a pure-numpy twin. The numba
-path is used when numba imports cleanly, unless KGALIGN_NO_NUMBA=1 is set
-in the environment. Both paths accumulate in input-index order, so results
-agree bitwise at float64.
+One numpy/scipy path. A segment sum adds each value row into its segment
+in input order, starting from zero, exactly as ``np.add.at`` does: 1-D
+values go through ``np.bincount``, rows through a column-compressed 0/1
+segment matrix (column i holds a single 1 in row ``ids[i]``, so no sort
+is needed). Pairwise distances come from scipy's ``cdist``, which adds one
+dimension at a time from the first. Every output is therefore bitwise
+reproducible at float64.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+from scipy import sparse
+from scipy.spatial.distance import cdist
 
 
-def _env_disables_numba() -> bool:
-    return os.environ.get("KGALIGN_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-_backend = "numba" if (HAVE_NUMBA and not _env_disables_numba()) else "numpy"
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Switch between 'numba' and 'numpy' kernel implementations."""
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    global _backend
-    _backend = name
-
-
-# ---------------------------------------------------------------- numpy path
-
-
-def _segment_sum_numpy(values, ids, num_segments):
-    out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
-    np.add.at(out, ids, values)
-    return out
-
-
-def _segment_max_numpy(values, ids, num_segments):
-    out = np.full(num_segments, -np.inf, dtype=np.float64)
-    np.maximum.at(out, ids, values)
-    return out
-
-
-def _scatter_add_rows_numpy(out, ids, rows):
-    np.add.at(out, ids, rows)
-
-
-def _pairwise_manhattan_numpy(a, b):
-    # accumulate one dimension at a time, in the same order as the numba
-    # loop, so both backends agree bitwise
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        out += np.abs(a[:, k, None] - b[None, :, k])
-    return out
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _segment_sum_numba(values, ids, num_segments):
-        out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
-        for i in range(values.shape[0]):
-            s = ids[i]
-            for j in range(values.shape[1]):
-                out[s, j] += values[i, j]
-        return out
-
-    @njit(cache=True)
-    def _segment_max_numba(values, ids, num_segments):
-        out = np.full(num_segments, -np.inf, dtype=np.float64)
-        for i in range(values.shape[0]):
-            s = ids[i]
-            if values[i] > out[s]:
-                out[s] = values[i]
-        return out
-
-    @njit(cache=True)
-    def _scatter_add_rows_numba(out, ids, rows):
-        for i in range(rows.shape[0]):
-            s = ids[i]
-            for j in range(rows.shape[1]):
-                out[s, j] += rows[i, j]
-
-    @njit(cache=True)
-    def _pairwise_manhattan_numba(a, b):
-        n_a, dim = a.shape
-        n_b = b.shape[0]
-        out = np.empty((n_a, n_b), dtype=np.float64)
-        for i in range(n_a):
-            for j in range(n_b):
-                acc = 0.0
-                for k in range(dim):
-                    diff = a[i, k] - b[j, k]
-                    acc += diff if diff >= 0.0 else -diff
-                out[i, j] = acc
-        return out
-
-
-# ------------------------------------------------------------- public facade
-
-
-def _as_f64_2d(values):
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        return values.reshape(-1, 1), True
-    if values.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D values, got shape {values.shape}")
-    return values, False
-
-
-def _as_ids(ids):
-    return np.ascontiguousarray(ids, dtype=np.int64)
+def _as_ids(ids, num_segments):
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+        raise IndexError(f"segment id outside [0, {num_segments})")
+    return ids
 
 
 def segment_sum(values, ids, num_segments):
     """Sum rows of `values` into `num_segments` buckets given by `ids`.
 
     Accepts 1-D or 2-D values; empty segments come back as zero rows.
-    Accumulation order is input order on both backends.
+    Each segment accumulates its rows in input order.
     """
-    values, squeeze = _as_f64_2d(values)
-    ids = _as_ids(ids)
-    if _backend == "numba":
-        out = _segment_sum_numba(values, ids, num_segments)
-    else:
-        out = _segment_sum_numpy(values, ids, num_segments)
-    return out[:, 0] if squeeze else out
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    ids = _as_ids(ids, num_segments)
+    if values.ndim not in (1, 2) or len(values) != len(ids):
+        raise ValueError(f"expected {len(ids)} value rows, got shape {values.shape}")
+    if values.ndim == 1:
+        return np.bincount(ids, weights=values, minlength=num_segments)
+    n = len(ids)
+    matrix = sparse.csc_matrix(
+        (np.ones(n), ids, np.arange(n + 1)), shape=(num_segments, n)
+    )
+    return matrix @ values
 
 
 def segment_max(values, ids, num_segments):
     """Per-segment maximum of a 1-D array; empty segments give -inf."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    ids = _as_ids(ids)
-    if _backend == "numba":
-        return _segment_max_numba(values, ids, num_segments)
-    return _segment_max_numpy(values, ids, num_segments)
+    out = np.full(num_segments, -np.inf, dtype=np.float64)
+    np.maximum.at(out, _as_ids(ids, num_segments), np.asarray(values, dtype=np.float64))
+    return out
 
 
 def scatter_add_rows(out, ids, rows):
-    """Add `rows` into `out` at row positions `ids`, accumulating duplicates."""
-    rows, squeezed = _as_f64_2d(rows)
-    ids = _as_ids(ids)
-    target = out.reshape(-1, 1) if squeezed else out
-    if _backend == "numba":
-        _scatter_add_rows_numba(target, ids, rows)
-    else:
-        _scatter_add_rows_numpy(target, ids, rows)
+    """Add `rows` into `out` at row positions `ids`, accumulating duplicates.
+
+    The rows of each target are summed first, in input order, and then added
+    to `out`; from a zero `out` this is bitwise equal to ``np.add.at``.
+    """
+    out += segment_sum(rows, ids, out.shape[0]).reshape(out.shape)
     return out
 
 
@@ -169,6 +63,4 @@ def pairwise_manhattan(a, b):
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    if _backend == "numba":
-        return _pairwise_manhattan_numba(a, b)
-    return _pairwise_manhattan_numpy(a, b)
+    return cdist(a, b, "cityblock")

@@ -115,45 +115,62 @@ class NegativeCache:
     epoch: int = 0
 
 
+_BLOCK_ELEMS = 1 << 22  # distance entries per row block of the top-k search
+
+
 def _k_nearest_rows(dist, k, exclude_cols):
     """Per-row indices of the k smallest entries, ties broken by lower id.
 
-    ``exclude_cols[i]`` is masked out of row i before selection.
+    ``exclude_cols[i]`` is masked out of row i before selection. Each row
+    block finds every row's k-th smallest value with a partition, then sorts
+    only the entries at or below it by (row, value, id): the k smallest
+    entries of a row are a prefix of that order.
     """
     n_rows, n_cols = dist.shape
     if k >= n_cols:
         raise ValueError(f"k={k} must be smaller than the candidate count {n_cols}")
-    masked = dist.copy()
-    masked[np.arange(n_rows), exclude_cols] = np.inf
-    cols = np.arange(n_cols)
     out = np.empty((n_rows, k), dtype=np.int64)
-    for i in range(n_rows):
-        order = np.lexsort((cols, masked[i]))
-        out[i] = order[:k]
+    step = max(1, _BLOCK_ELEMS // n_cols)
+    for lo in range(0, n_rows, step):
+        block = dist[lo:lo + step].copy()
+        block[np.arange(len(block)), exclude_cols[lo:lo + step]] = np.inf
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(block <= kth[:, None])
+        order = np.lexsort((cols, block[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(len(block)))
+        out[lo:lo + step] = cols[order][starts[:, None] + np.arange(k)]
     return out
+
+
+def _check_finite(name, *embeddings):
+    if not all(np.isfinite(e).all() for e in embeddings):
+        raise NumericalError(f"{name}: non-finite embeddings")
 
 
 def refresh_negatives(f1, f2, train_pairs, k, epoch=0) -> NegativeCache:
     """k nearest same-graph entities per pair side, excluding the entity itself."""
-    d1 = kernels.pairwise_manhattan(f1[train_pairs[:, 0]], f1)
-    d2 = kernels.pairwise_manhattan(f2[train_pairs[:, 1]], f2)
-    neg1 = _k_nearest_rows(d1, k, train_pairs[:, 0])
-    neg2 = _k_nearest_rows(d2, k, train_pairs[:, 1])
+    _check_finite(f"refresh_negatives at epoch {epoch}", f1, f2)
+    ids1, ids2 = train_pairs[:, 0], train_pairs[:, 1]
+    # one distance matrix alive at a time
+    neg1 = _k_nearest_rows(kernels.pairwise_manhattan(f1[ids1], f1), k, ids1)
+    neg2 = _k_nearest_rows(kernels.pairwise_manhattan(f2[ids2], f2), k, ids2)
     return NegativeCache(neg1, neg2, epoch)
 
 
 def expand_seeds_bidirectional(f1, f2, train_pairs, n1, n2):
-    """Mutual-nearest proposals among entities not already in a training pair."""
+    """Mutual-nearest proposals among entities not already in a training pair.
+
+    Nearest means smallest L1 distance, ties broken by lower id.
+    """
+    _check_finite("expand_seeds_bidirectional", f1, f2)
     free1 = np.setdiff1d(np.arange(n1), train_pairs[:, 0])
     free2 = np.setdiff1d(np.arange(n2), train_pairs[:, 1])
     if free1.size == 0 or free2.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     dist = kernels.pairwise_manhattan(f1[free1], f2[free2])
-    cols = np.arange(free2.size)
-    rows = np.arange(free1.size)
-    best2 = np.array([np.lexsort((cols, dist[i]))[0] for i in range(free1.size)])
-    best1 = np.array([np.lexsort((rows, dist[:, j]))[0] for j in range(free2.size)])
-    mutual = best1[best2] == rows
+    best2 = dist.argmin(axis=1)
+    best1 = dist.argmin(axis=0)
+    mutual = best1[best2] == np.arange(free1.size)
     proposals = np.stack([free1[mutual], free2[best2[mutual]]], axis=1)
     return proposals.astype(np.int64)
 
@@ -215,30 +232,29 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     state = ad.AdamState()
     train_pairs = task.seeds_train.copy()
     history = []
-    cache = None
-
+    final = None
     for epoch in range(cfg.epochs):
-        if epoch % cfg.neg_refresh_epochs == 0:
-            f1_now, f2_now = forward(task, params, cfg)
-            if cfg.semi and epoch > 0:
-                new_pairs = expand_seeds_bidirectional(
-                    f1_now.data, f2_now.data, train_pairs,
-                    task.g1.num_entities, task.g2.num_entities,
-                )
-                if len(new_pairs):
-                    train_pairs = np.concatenate([train_pairs, new_pairs])
-            cache = refresh_negatives(
-                f1_now.data, f2_now.data, train_pairs, cfg.neg_k, epoch
-            )
-        use1, use2 = cache.side1, cache.side2
-        if not cfg.neg_sample_all:
-            pick1 = rng.integers(0, cfg.neg_k, size=(len(train_pairs), 1))
-            pick2 = rng.integers(0, cfg.neg_k, size=(len(train_pairs), 1))
-            use1 = np.take_along_axis(cache.side1, pick1, axis=1)
-            use2 = np.take_along_axis(cache.side2, pick2, axis=1)
-
         with ad.Tape() as tape:
+            # one forward pass per parameter state: the search side reads
+            # the taped pass's values before the loss is recorded
             f1, f2 = forward(task, params, cfg)
+            if epoch % cfg.neg_refresh_epochs == 0:
+                if cfg.semi and epoch > 0:
+                    new_pairs = expand_seeds_bidirectional(
+                        f1.data, f2.data, train_pairs,
+                        task.g1.num_entities, task.g2.num_entities,
+                    )
+                    if len(new_pairs):
+                        train_pairs = np.concatenate([train_pairs, new_pairs])
+                cache = refresh_negatives(
+                    f1.data, f2.data, train_pairs, cfg.neg_k, epoch
+                )
+            use1, use2 = cache.side1, cache.side2
+            if not cfg.neg_sample_all:
+                pick1 = rng.integers(0, cfg.neg_k, size=(len(train_pairs), 1))
+                pick2 = rng.integers(0, cfg.neg_k, size=(len(train_pairs), 1))
+                use1 = np.take_along_axis(cache.side1, pick1, axis=1)
+                use2 = np.take_along_axis(cache.side2, pick2, axis=1)
             loss = alignment_loss(f1, f2, train_pairs, use1, use2, cfg.margin)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
@@ -253,15 +269,16 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         ad.zero_grads(params.values())
 
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}
+        final = None
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            f1_eval, f2_eval = forward(task, params, cfg)
-            report = evaluate(task, f1_eval.data, f2_eval.data)
+            final = forward(task, params, cfg)
+            report = evaluate(task, final[0].data, final[1].data)
             record["hits1"] = report.hits_at[1]
         history.append(record)
         if log is not None:
             log(record)
 
-    f1, f2 = forward(task, params, cfg)
+    f1, f2 = final if final is not None else forward(task, params, cfg)
     return FitResult(params, f1.data, f2.data, history, train_pairs)
 
 

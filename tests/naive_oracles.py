@@ -83,3 +83,24 @@ def random_connected_triples(rng, n_entities, n_triples, n_relations):
     for i, e in enumerate(missing):
         trips[i % n_triples, 0] = int(e)
     return np.unique(trips, axis=0)
+
+
+def k_nearest_by_sorting(dist, k, exclude_cols):
+    """Per row, the k smallest entries after masking one column, by a full
+    (value, id) sort of the row."""
+    cols = np.arange(dist.shape[1])
+    out = []
+    for i in range(dist.shape[0]):
+        row = dist[i].copy()
+        row[exclude_cols[i]] = np.inf
+        out.append(np.lexsort((cols, row))[:k])
+    return np.array(out, dtype=np.int64).reshape(dist.shape[0], k)
+
+
+def mutual_nearest(dist):
+    """(row, col) pairs that are each other's nearest, lower id on ties."""
+    best_col = [min(range(dist.shape[1]), key=lambda j: (dist[i, j], j))
+                for i in range(dist.shape[0])]
+    best_row = [min(range(dist.shape[0]), key=lambda i: (dist[i, j], i))
+                for j in range(dist.shape[1])]
+    return [(i, j) for i, j in enumerate(best_col) if best_row[j] == i]

@@ -1,39 +1,28 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kgalign import kernels
 
 import naive_oracles as naive
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
 
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    previous = kernels.active_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(previous)
-
-
-def test_segment_sum_matches_naive_loop(backend, rng):
+def test_segment_sum_matches_naive_loop(rng):
     values = rng.normal(size=(40, 6))
     ids = rng.integers(0, 7, size=40)
     got = kernels.segment_sum(values, ids, 7)
     np.testing.assert_array_equal(got, naive.segment_sum(values, ids, 7))
 
 
-def test_segment_sum_1d_and_empty_segments(backend):
+def test_segment_sum_1d_and_empty_segments():
     values = np.array([1.0, 2.0, 3.0])
     out = kernels.segment_sum(values, [0, 0, 3], 5)
     np.testing.assert_array_equal(out, [3.0, 0.0, 0.0, 3.0, 0.0])
 
 
-def test_segment_max(backend, rng):
+def test_segment_max(rng):
     values = rng.normal(size=30)
     ids = rng.integers(0, 4, size=30)
     got = kernels.segment_max(values, ids, 5)
@@ -44,13 +33,21 @@ def test_segment_max(backend, rng):
     assert got[4] == -np.inf
 
 
-def test_scatter_add_rows_accumulates_duplicates(backend):
+@pytest.mark.parametrize("ids", [[0, 3, 1], [0, -1, 1]])
+@pytest.mark.parametrize("width", [None, 2])
+def test_segment_sum_rejects_ids_outside_segments(ids, width):
+    values = np.ones(3) if width is None else np.ones((3, width))
+    with pytest.raises(IndexError):
+        kernels.segment_sum(values, ids, 3)
+
+
+def test_scatter_add_rows_accumulates_duplicates():
     out = np.zeros((3, 2))
     kernels.scatter_add_rows(out, [1, 1, 0], np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     np.testing.assert_array_equal(out, [[5.0, 6.0], [4.0, 6.0], [0.0, 0.0]])
 
 
-def test_pairwise_manhattan_matches_direct(backend, rng):
+def test_pairwise_manhattan_matches_direct(rng):
     a = rng.normal(size=(9, 5))
     b = rng.normal(size=(7, 5))
     got = kernels.pairwise_manhattan(a, b)
@@ -58,40 +55,54 @@ def test_pairwise_manhattan_matches_direct(backend, rng):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_pairwise_manhattan_rejects_width_mismatch(backend):
+def test_pairwise_manhattan_accumulates_dimensions_in_order(rng):
+    # bitwise equal to adding |a_k - b_k| one dimension at a time from zero
+    a = rng.normal(size=(6, 33)) * 10.0 ** rng.integers(-3, 4, size=33)
+    b = rng.normal(size=(8, 33))
+    want = np.zeros((6, 8))
+    for k in range(a.shape[1]):
+        want += np.abs(a[:, k, None] - b[None, :, k])
+    np.testing.assert_array_equal(kernels.pairwise_manhattan(a, b), want)
+
+
+def test_pairwise_manhattan_rejects_width_mismatch():
     with pytest.raises(ValueError):
         kernels.pairwise_manhattan(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_bitwise(rng):
-    values = rng.normal(size=(64, 8))
-    ids = rng.integers(0, 9, size=64)
-    a = rng.normal(size=(12, 8))
-    b = rng.normal(size=(15, 8))
-    results = {}
-    for name in ("numpy", "numba"):
-        kernels.set_backend(name)
-        results[name] = (
-            kernels.segment_sum(values, ids, 9),
-            kernels.segment_max(values[:, 0], ids, 9),
-            kernels.pairwise_manhattan(a, b),
-        )
-    kernels.set_backend("numba")
-    for x, y in zip(results["numpy"], results["numba"]):
-        np.testing.assert_array_equal(x, y)
+# ------------------------------------------- properties against the oracles
 
 
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("gpu")
+@st.composite
+def segment_layouts(draw):
+    """Random values with segment ids; some segments are always left empty."""
+    rows = draw(st.integers(0, 30))
+    width = draw(st.integers(1, 4))
+    num_segments = draw(st.integers(1, 9))
+    used = draw(st.integers(1, num_segments))
+    ids = draw(hnp.arrays(np.int64, rows, elements=st.integers(0, used - 1)))
+    values = draw(hnp.arrays(
+        np.float64, (rows, width),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ))
+    return values, ids, num_segments
 
 
-def test_env_flag_selects_numpy_backend():
-    probe = "from kgalign import kernels; print(kernels.active_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "KGALIGN_NO_NUMBA": "1"},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+@settings(max_examples=60, deadline=None)
+@given(segment_layouts())
+def test_segment_sum_bitwise_equals_naive_oracle(layout):
+    values, ids, num_segments = layout
+    got = kernels.segment_sum(values, ids, num_segments)
+    np.testing.assert_array_equal(got, naive.segment_sum(values, ids, num_segments))
+    got_1d = kernels.segment_sum(values[:, 0], ids, num_segments)
+    np.testing.assert_array_equal(got_1d, naive.segment_sum(values[:, 0], ids, num_segments)[:, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(segment_layouts())
+def test_scatter_add_rows_from_zeros_bitwise_equals_naive_oracle(layout):
+    values, ids, num_segments = layout
+    out = np.zeros((num_segments, values.shape[1]))
+    returned = kernels.scatter_add_rows(out, ids, values)
+    assert returned is out
+    np.testing.assert_array_equal(out, naive.segment_sum(values, ids, num_segments))

@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgalign import autodiff as ad
 from kgalign import evaluation, kg, training
 from kgalign.training import TrainConfig
+
+import naive_oracles as naive
 
 
 # --------------------------------------------------------------- distances
@@ -132,6 +138,68 @@ def test_expansion_requires_mutuality():
     assert got.tolist() == [[1, 0]]  # 0 -> 0 is not mutual, 1 <-> 0 is
 
 
+# ------------------------------------------------- search side equivalence
+
+
+@st.composite
+def tied_distances(draw):
+    """Distance rows drawn from a few levels, so ties straddle the k-th entry."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(2, 15))
+    k = draw(st.integers(1, cols - 1))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf]),
+                           min_size=rows * cols, max_size=rows * cols))
+    exclude = draw(st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows))
+    return np.array(levels).reshape(rows, cols), k, np.array(exclude)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_distances(), st.sampled_from([1, 7, 1 << 22]))
+def test_k_nearest_rows_equals_sorting_oracle(case, block_elems):
+    dist, k, exclude = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_BLOCK_ELEMS", block_elems)
+        got = training._k_nearest_rows(dist, k, exclude)
+    np.testing.assert_array_equal(got, naive.k_nearest_by_sorting(dist, k, exclude))
+
+
+def test_k_nearest_rows_tie_at_kth_takes_lower_ids():
+    dist = np.array([[3.0, 1.0, 2.0, 1.0, 2.0, 2.0, 0.5]])
+    got = training._k_nearest_rows(dist, 3, np.array([6]))
+    assert got.tolist() == [[1, 3, 2]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_expansion_equals_mutual_nearest_oracle(n1, n2, seed):
+    rng = np.random.default_rng(seed)
+    # integer coordinates make distance ties common
+    f1 = rng.integers(0, 3, size=(n1, 2)).astype(np.float64)
+    f2 = rng.integers(0, 3, size=(n2, 2)).astype(np.float64)
+    pairs = np.empty((0, 2), dtype=np.int64)
+    got = training.expand_seeds_bidirectional(f1, f2, pairs, n1, n2)
+    dist = np.abs(f1[:, None, :] - f2[None, :, :]).sum(axis=2)
+    assert [tuple(p) for p in got.tolist()] == naive.mutual_nearest(dist)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_refresh_negatives_rejects_non_finite_embeddings(rng, bad):
+    f1 = rng.normal(size=(6, 3))
+    f2 = rng.normal(size=(6, 3))
+    f2[4, 1] = bad
+    with pytest.raises(training.NumericalError, match="epoch 7"):
+        training.refresh_negatives(f1, f2, np.array([[0, 0], [1, 1]]), k=2, epoch=7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_expansion_rejects_non_finite_embeddings(rng, bad):
+    f1 = rng.normal(size=(5, 3))
+    f2 = rng.normal(size=(5, 3))
+    f1[3, 0] = bad
+    with pytest.raises(training.NumericalError, match="non-finite"):
+        training.expand_seeds_bidirectional(f1, f2, np.empty((0, 2), dtype=np.int64), 5, 5)
+
+
 # ----------------------------------------------------------------- training
 
 
@@ -227,3 +295,52 @@ def test_checkpoint_round_trip(tmp_path, small_task):
     assert set(loaded) == set(result.params)
     for key in loaded:
         np.testing.assert_array_equal(loaded[key].data, result.params[key].data)
+
+
+def _count_forward_calls(monkeypatch):
+    calls = []
+    real = training.forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counting)
+    return calls
+
+
+def test_supervised_fit_runs_one_forward_per_epoch_plus_final(monkeypatch, small_task):
+    calls = _count_forward_calls(monkeypatch)
+    training.fit(small_task, TrainConfig(epochs=6, d_r=6, d_t=6, rng_seed=0))
+    assert len(calls) == 7  # negatives reuse the taped pass of epochs 0 and 5
+
+
+def test_semi_fit_reuses_last_evaluation_pass_as_output(monkeypatch, small_task):
+    calls = _count_forward_calls(monkeypatch)
+    cfg = TrainConfig(epochs=3, d_r=6, d_t=6, rng_seed=0, semi=True,
+                      neg_refresh_epochs=1, eval_every=1)
+    training.fit(small_task, cfg)
+    assert len(calls) == 6  # one taped and one evaluation pass per epoch
+
+
+# sha256 over final_emb1 then final_emb2 bytes, recorded from the per-row
+# sort search side with a separate untaped pass at each refresh; any change
+# to summation order, tie-breaking or which pass feeds the search moves it
+GOLDEN_FIT = {
+    "supervised": (
+        dict(epochs=7, rng_seed=4, neg_refresh_epochs=3, neg_sample_all=False),
+        "1a540f8aa250606da363bde1bdbc0edff6772e6b09e3503ed455d4855ed1dabe",
+    ),
+    "semi": (
+        dict(epochs=6, rng_seed=2, semi=True, neg_refresh_epochs=2, eval_every=3),
+        "b08c3a40439a431e7c8892ba8f1538724bb4b168f6db89b3be3d46a4f3e30c9c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIT))
+def test_fit_final_embeddings_match_golden_hash(small_task, name):
+    overrides, want = GOLDEN_FIT[name]
+    result = training.fit(small_task, TrainConfig(d_r=6, d_t=6, **overrides))
+    got = hashlib.sha256(result.final_emb1.tobytes() + result.final_emb2.tobytes())
+    assert got.hexdigest() == want
