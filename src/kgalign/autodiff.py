@@ -4,6 +4,14 @@ Operations record onto the innermost active ``Tape`` (a context manager).
 Recording order is execution order, which is already topological for a
 define-by-run graph, so the backward pass is a single reverse sweep that
 visits each recorded node exactly once.
+
+The sweep consumes the tape: each op record is dropped once its backward
+has run, and each intermediate gradient once it has been passed on, so
+the peak holds the forward activations but not their gradients too. Only
+leaf tensors (those no recorded op produced) keep ``.grad``. A leaf's first
+gradient contribution is adopted as its buffer, not copied, so leaf
+gradients may share memory with each other: treat them as read-only
+(``adam_step`` only reads them).
 """
 
 from dataclasses import dataclass, field
@@ -40,24 +48,31 @@ class Tape:
         self.ops.append((inputs, output, backward))
 
     def backward(self, loss):
-        """Populate ``grad`` on every requires_grad tensor reachable from loss."""
+        """Populate ``grad`` on every requires_grad leaf reachable from loss.
+
+        Consumes the tape: each record is popped, freeing its closures and
+        activations, and each op output's ``grad`` is reset to ``None`` once
+        passed on. A leaf's first contribution becomes its gradient without
+        a copy and later ones are added into new arrays, so leaf gradients
+        may share memory and must be treated as read-only.
+        """
+        if self._consumed:
+            raise RuntimeError("backward already ran on this tape; record a new tape")
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
         if not self.ops:
             raise ValueError("tape is empty; nothing was recorded")
-        if self._consumed:
-            raise RuntimeError("backward already ran on this tape; record a new tape")
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for inputs, output, backward in reversed(self.ops):
-            if output.grad is None:
+        while self.ops:
+            inputs, output, backward = self.ops.pop()
+            out_grad, output.grad = output.grad, None
+            if out_grad is None:
                 continue
-            for tensor, grad in zip(inputs, backward(output.grad)):
+            for tensor, grad in zip(inputs, backward(out_grad)):
                 if grad is None or not tensor.requires_grad:
                     continue
-                if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad = tensor.grad + grad
+                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 class Tensor:

@@ -248,7 +248,7 @@ def _read_triples(path, id_map):
 def _read_embeddings(path, id_map):
     dim = None
     out = None
-    seen = np.zeros(len(id_map), dtype=bool)
+    line_of = np.zeros(len(id_map), dtype=np.int64)  # 0 until the row is read
     for lineno, (raw_id, values) in _read_tsv(path, 2, "embedding"):
         try:
             eid = int(raw_id)
@@ -264,9 +264,13 @@ def _read_embeddings(path, id_map):
             raise DataError(f"{path}:{lineno}: embedding width {vec.size} != {dim}")
         idx = id_map[eid]
         out[idx] = vec
-        seen[idx] = True
-    if not seen.all():
-        raise DataError(f"{path}: embeddings missing for {int((~seen).sum())} entities")
+        line_of[idx] = lineno
+    if not line_of.all():
+        raise DataError(f"{path}: embeddings missing for {int((line_of == 0).sum())} entities")
+    # float() accepts nan and inf; one pass over the matrix finds them
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}:{line_of[bad].min()}: non-finite embedding value")
     return out
 
 

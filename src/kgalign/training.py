@@ -147,6 +147,13 @@ def _check_finite(name, *embeddings):
         raise NumericalError(f"{name}: non-finite embeddings")
 
 
+def _check_finite_params(what, epoch, names, arrays):
+    """Raise on the first array, in the given name order, holding NaN or inf."""
+    for name, array in zip(names, arrays):
+        if array is not None and not np.isfinite(array).all():
+            raise NumericalError(f"non-finite {what} of {name!r} at epoch {epoch}")
+
+
 def refresh_negatives(f1, f2, train_pairs, k, epoch=0) -> NegativeCache:
     """k nearest same-graph entities per pair side, excluding the entity itself."""
     _check_finite(f"refresh_negatives at epoch {epoch}", f1, f2)
@@ -260,12 +267,14 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
         tape.backward(loss)
+        grads = [params[k].grad for k in order]
+        _check_finite_params("gradient", epoch, order, grads)
+        values = [params[k].data for k in order]
         ad.adam_step(
-            [params[k].data for k in order],
-            [params[k].grad for k in order],
-            state,
+            values, grads, state,
             lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
         )
+        _check_finite_params("value", epoch, order, values)
         ad.zero_grads(params.values())
 
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}

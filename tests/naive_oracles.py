@@ -104,3 +104,22 @@ def mutual_nearest(dist):
     best_row = [min(range(dist.shape[0]), key=lambda i: (dist[i, j], i))
                 for j in range(dist.shape[1])]
     return [(i, j) for i, j in enumerate(best_col) if best_row[j] == i]
+
+
+def backward_keep_all(tape, loss):
+    """Reverse sweep by the accumulate-from-zeros rule, freeing nothing.
+
+    Every gradient starts as ``zeros_like`` of its tensor and each
+    contribution is added to it; the tape's records and every intermediate
+    ``.grad`` stay in place.
+    """
+    loss.grad = np.ones((), dtype=np.float64)
+    for inputs, output, backward in reversed(tape.ops):
+        if output.grad is None:
+            continue
+        for tensor, grad in zip(inputs, backward(output.grad)):
+            if grad is None or not tensor.requires_grad:
+                continue
+            if tensor.grad is None:
+                tensor.grad = np.zeros_like(tensor.data)
+            tensor.grad = tensor.grad + grad

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
+from kgalign import training
+from kgalign.training import TrainConfig
 
 import naive_oracles as naive
 
@@ -223,6 +225,61 @@ def test_backward_twice_errors():
     tape.backward(loss)
     with pytest.raises(RuntimeError):
         tape.backward(loss)
+
+
+def test_backward_consumes_tape_and_keeps_only_leaf_grads():
+    x = ad.Tensor([1.0, -2.0], requires_grad=True)
+    with ad.Tape() as tape:
+        y = x * x
+        loss = ad.reduce_sum(y)
+    tape.backward(loss)
+    assert tape.ops == []
+    assert y.grad is None and loss.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+
+
+def test_backward_shared_first_contribution_stays_unchanged():
+    # add hands one gradient array to both inputs; a's later contribution
+    # must not leak into b's adopted gradient
+    a = ad.Tensor([1.0, 2.0], requires_grad=True)
+    b = ad.Tensor([3.0, 4.0], requires_grad=True)
+    c = np.array([5.0, 7.0])
+    w = np.array([0.5, -1.5])
+    with ad.Tape() as tape:
+        z = a * c
+        y = a + b
+        loss = ad.reduce_sum(y * w) + ad.reduce_sum(z)
+    tape.backward(loss)
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(a.grad, w + c)
+
+
+def test_backward_matches_keep_all_sweep_on_full_model(small_task):
+    cfg = TrainConfig(d_r=6, d_t=6)
+    params = training.init_params(small_task, cfg, np.random.default_rng(3))
+    pairs = small_task.seeds_train
+
+    def record():
+        with ad.Tape() as tape:
+            f1, f2 = training.forward(small_task, params, cfg)
+            cache = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
+            loss = training.alignment_loss(
+                f1, f2, pairs, cache.side1, cache.side2, cfg.margin
+            )
+        return tape, loss
+
+    lean_tape, lean_loss = record()
+    kept_tape, kept_loss = record()
+    lean_tape.backward(lean_loss)
+    lean = {k: params[k].grad for k in params}
+    ad.zero_grads(params.values())
+    naive.backward_keep_all(kept_tape, kept_loss)
+    assert len(kept_tape.ops) > 100
+    for key in sorted(params):
+        assert lean[key] is not None, key
+        assert np.array_equal(lean[key], params[key].grad), key
 
 
 def test_backward_empty_tape_errors():

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -241,17 +242,29 @@ def test_usage_error_exit_code(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_train_divergence_exits_numeric(dataset, tmp_path, capsys):
-    # poison one initial embedding value so the first loss is non-finite
-    import shutil
-
+def _poison_first_embedding(dataset, tmp_path, value):
     bad = tmp_path / "bad_data"
     shutil.copytree(dataset, bad)
     emb = bad / "ent_emb_1"
     first, rest = emb.read_text().split("\n", 1)
     eid, values = first.split("\t")
-    poisoned = "inf " + values.split(" ", 1)[1]
+    poisoned = f"{value} " + values.split(" ", 1)[1]
     emb.write_text(f"{eid}\t{poisoned}\n" + rest)
+    return bad
+
+
+def test_train_non_finite_embedding_exits_data(dataset, tmp_path, capsys):
+    bad = _poison_first_embedding(dataset, tmp_path, "nan")
+    code = run_cli("train", "--data", str(bad), "--epochs", "1",
+                   "--out", str(tmp_path / "r"))
+    assert code == EXIT_DATA
+    assert "ent_emb_1:1: non-finite" in capsys.readouterr().err
+
+
+def test_train_divergence_exits_numeric(dataset, tmp_path, capsys):
+    # poison one initial embedding value with a finite number so large that
+    # the first loss overflows (the loader rejects nan and inf outright)
+    bad = _poison_first_embedding(dataset, tmp_path, "1e308")
 
     with np.errstate(invalid="ignore", over="ignore"):
         code = run_cli("train", "--data", str(bad), "--epochs", "2",

@@ -171,6 +171,20 @@ def test_loader_rejects_malformed_embedding(tmp_path, small_task):
         kg.load_dbp15k(out)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_loader_rejects_non_finite_embedding(tmp_path, small_task, bad):
+    out = tmp_path / "ds"
+    kg.save_dbp15k(small_task, out)
+    emb_path = out / "ent_emb_2"
+    lines = emb_path.read_text().splitlines()
+    for row in (6, 2):
+        eid, values = lines[row].split("\t")
+        lines[row] = f"{eid}\t{bad} " + values.split(" ", 1)[1]
+    emb_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"ent_emb_2:3: non-finite"):
+        kg.load_dbp15k(out)
+
+
 # ----------------------------------------------------------------- synthetic
 
 

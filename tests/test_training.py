@@ -286,6 +286,50 @@ def test_non_finite_loss_aborts_with_epoch(small_task):
             training.fit(bad, cfg)
 
 
+def _capture_params(monkeypatch):
+    captured = {}
+    real = training.init_params
+
+    def capturing(*args, **kwargs):
+        captured.update(real(*args, **kwargs))
+        return captured
+
+    monkeypatch.setattr(training, "init_params", capturing)
+    return captured
+
+
+def test_non_finite_gradient_aborts_naming_first_parameter(monkeypatch, small_task):
+    params = _capture_params(monkeypatch)
+    real_backward = ad.Tape.backward
+
+    def poisoned_backward(tape, loss):
+        real_backward(tape, loss)
+        for key in ("triple.head_w", "gcn.gate_b1"):  # the second sorts first
+            params[key].grad = np.full_like(params[key].data, np.nan)
+
+    monkeypatch.setattr(ad.Tape, "backward", poisoned_backward)
+    cfg = TrainConfig(epochs=2, d_r=6, d_t=6, rng_seed=0)
+    with pytest.raises(training.NumericalError, match="gradient of 'gcn.gate_b1' at epoch 0"):
+        training.fit(small_task, cfg)
+
+
+def test_non_finite_parameter_after_step_aborts(monkeypatch, small_task):
+    params = _capture_params(monkeypatch)
+    real_step = ad.adam_step
+    steps = []
+
+    def poisoned_step(values, grads, state, **kwargs):
+        real_step(values, grads, state, **kwargs)
+        steps.append(1)
+        if len(steps) == 2:
+            params["gcn.gate_w0"].data[0, 0] = np.inf
+
+    monkeypatch.setattr(ad, "adam_step", poisoned_step)
+    cfg = TrainConfig(epochs=3, d_r=6, d_t=6, rng_seed=0)
+    with pytest.raises(training.NumericalError, match="value of 'gcn.gate_w0' at epoch 1"):
+        training.fit(small_task, cfg)
+
+
 def test_checkpoint_round_trip(tmp_path, small_task):
     cfg = TrainConfig(epochs=1, d_r=6, d_t=6, rng_seed=0)
     result = training.fit(small_task, cfg)
