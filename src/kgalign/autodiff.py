@@ -5,9 +5,15 @@ Recording order is execution order, which is already topological for a
 define-by-run graph, so the backward pass is a single reverse sweep that
 visits each recorded node exactly once.
 
+A record holds gradient slots (``_Node``), not tensors, and each backward
+rule captures only the arrays and shapes it reads. An intermediate array is
+therefore freed as soon as the model code drops it, unless a backward rule
+needs it: a ``take_rows`` gather feeding a ``concat`` dies at once, a
+``matmul`` input lives until the sweep reaches it.
+
 The sweep consumes the tape: each op record is dropped once its backward
 has run, and each intermediate gradient once it has been passed on, so
-the peak holds the forward activations but not their gradients too. Only
+the peak holds the retained activations but not their gradients too. Only
 leaf tensors (those no recorded op produced) keep ``.grad``. A leaf's first
 gradient contribution is adopted as its buffer, not copied, so leaf
 gradients may share memory with each other: treat them as read-only
@@ -32,7 +38,9 @@ class Tape:
     """Ordered record of operations for one forward pass."""
 
     def __init__(self):
-        self.ops = []  # (inputs, output, backward) triples in execution order
+        # (input nodes, output node, backward) in execution order; an input
+        # node is None when that input needs no gradient
+        self.ops = []
         self._consumed = False
 
     def __enter__(self):
@@ -50,11 +58,11 @@ class Tape:
     def backward(self, loss):
         """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
-        Consumes the tape: each record is popped, freeing its closures and
-        activations, and each op output's ``grad`` is reset to ``None`` once
-        passed on. A leaf's first contribution becomes its gradient without
-        a copy and later ones are added into new arrays, so leaf gradients
-        may share memory and must be treated as read-only.
+        Consumes the tape: each record is popped, freeing its closure and the
+        arrays it captured, and each op output's ``grad`` is reset to ``None``
+        once passed on. A leaf's first contribution becomes its gradient
+        without a copy and later ones are added into new arrays, so leaf
+        gradients may share memory and must be treated as read-only.
         """
         if self._consumed:
             raise RuntimeError("backward already ran on this tape; record a new tape")
@@ -69,21 +77,38 @@ class Tape:
             out_grad, output.grad = output.grad, None
             if out_grad is None:
                 continue
-            for tensor, grad in zip(inputs, backward(out_grad)):
-                if grad is None or not tensor.requires_grad:
+            for node, grad in zip(inputs, backward(out_grad)):
+                if grad is None or node is None:
                     continue
-                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+                node.grad = grad if node.grad is None else node.grad + grad
+
+
+class _Node:
+    """A tensor's gradient slot: what a tape record keeps of the tensor."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
 
 
 class Tensor:
     """Dense float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._node = _Node()
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
 
     @property
     def shape(self):
@@ -122,10 +147,17 @@ def as_tensor(value):
 
 
 def _record(data, inputs, backward):
+    """Wrap ``data``; on a tape, record gradient slots, never the tensors.
+
+    ``backward`` must close over only the arrays and shapes it reads, not
+    over the input tensors, so that the rest is freed with the model's
+    references.
+    """
     out_requires = bool(_TAPES) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=out_requires)
     if out_requires:
-        _TAPES[-1].record(inputs, out, backward)
+        nodes = tuple(t._node if t.requires_grad else None for t in inputs)
+        _TAPES[-1].record(nodes, out._node, backward)
     return out
 
 
@@ -152,33 +184,27 @@ def _check_broadcast(a, b, opname):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "add")
+    sa, sb = a.data.shape, b.data.shape
     return _record(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
     )
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "sub")
+    sa, sb = a.data.shape, b.data.shape
     return _record(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
+        a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
     )
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "mul")
+    x, y = a.data, b.data
     return _record(
-        a.data * b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        ),
+        x * y, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
     )
 
 
@@ -191,11 +217,8 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _record(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    x, y = a.data, b.data
+    return _record(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
 
 
 def left_matmul(matrix, x):
@@ -236,7 +259,8 @@ def sigmoid(a):
 
 def absval(a):
     a = as_tensor(a)
-    return _record(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    x = a.data
+    return _record(np.abs(x), (a,), lambda g: (g * np.sign(x),))
 
 
 def concat(a, b, axis=-1):

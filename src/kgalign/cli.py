@@ -183,18 +183,13 @@ def _load_run(run_dir):
         manifest = json.load(fh)
     cfg = TrainConfig(**manifest["config"])
     params = training.load_checkpoint(checkpoint_path)
-    return manifest, cfg, params
+    return checkpoint_path, cfg, params
 
 
 def cmd_eval(args):
-    manifest, cfg, params = _load_run(args.model)
+    checkpoint_path, cfg, params = _load_run(args.model)
     task = kg.load_dbp15k(args.data, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
-    for key, graph in (("emb1", task.g1), ("emb2", task.g2)):
-        if params[key].data.shape[0] != graph.num_entities:
-            raise DataError(
-                f"checkpoint {key} has {params[key].data.shape[0]} rows but the "
-                f"dataset has {graph.num_entities} entities"
-            )
+    training.check_checkpoint(checkpoint_path, params, task, cfg)
     f1, f2 = training.forward(task, params, cfg)
     report = evaluation.evaluate(
         task, f1.data, f2.data,

@@ -263,6 +263,8 @@ def _read_embeddings(path, id_map):
         if vec.size != dim:
             raise DataError(f"{path}:{lineno}: embedding width {vec.size} != {dim}")
         idx = id_map[eid]
+        if line_of[idx]:
+            raise DataError(f"{path}:{lineno}: duplicate embedding for entity id {eid}")
         out[idx] = vec
         line_of[idx] = lineno
     if not line_of.all():

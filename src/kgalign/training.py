@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import enhancer, kernels, structure, triples
-from .kg import AlignmentTask
+from .kg import AlignmentTask, DataError
 from .triples import VARIANTS
 
 
@@ -239,12 +239,15 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     state = ad.AdamState()
     train_pairs = task.seeds_train.copy()
     history = []
-    final = None
+    final = tape = None
     for epoch in range(cfg.epochs):
-        with ad.Tape() as tape:
-            # one forward pass per parameter state: the search side reads
-            # the taped pass's values before the loss is recorded
-            f1, f2 = forward(task, params, cfg)
+        # one forward pass per parameter state: the search side reads the
+        # taped pass's values before the loss is recorded, and an evaluation
+        # pass taped after the previous step stands in for this epoch's
+        if tape is None:
+            with ad.Tape() as tape:
+                f1, f2 = forward(task, params, cfg)
+        with tape:
             if epoch % cfg.neg_refresh_epochs == 0:
                 if cfg.semi and epoch > 0:
                     new_pairs = expand_seeds_bidirectional(
@@ -278,9 +281,13 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         ad.zero_grads(params.values())
 
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}
-        final = None
+        final = tape = None
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            final = forward(task, params, cfg)
+            if epoch + 1 < cfg.epochs:
+                with ad.Tape() as tape:
+                    f1, f2 = final = forward(task, params, cfg)
+            else:
+                final = forward(task, params, cfg)
             report = evaluate(task, final[0].data, final[1].data)
             record["hits1"] = report.hits_at[1]
         history.append(record)
@@ -311,6 +318,24 @@ def load_checkpoint(path):
             for key in bundle.files
             if key != "__format__"
         }
+
+
+def check_checkpoint(path, params, task, cfg):
+    """Raise ``DataError`` unless ``params`` has the keys and shapes that
+    ``init_params(task, cfg)`` builds; names the first bad key in sorted order."""
+    expected = init_params(task, cfg, np.random.default_rng(cfg.rng_seed))
+    for key in sorted(expected.keys() | params.keys()):
+        if key not in params:
+            raise DataError(f"{path}: checkpoint lacks parameter {key!r}")
+        if key not in expected:
+            raise DataError(f"{path}: checkpoint has unexpected parameter {key!r}")
+        got, want = params[key].data.shape, expected[key].data.shape
+        if got != want:
+            raise DataError(
+                f"{path}: parameter {key!r} has shape {got}, but the run's config on "
+                f"this dataset ({task.g1.num_entities} and {task.g2.num_entities} "
+                f"entities) needs {want}"
+            )
 
 
 def timed(fn, *args, **kwargs):

@@ -109,17 +109,18 @@ def mutual_nearest(dist):
 def backward_keep_all(tape, loss):
     """Reverse sweep by the accumulate-from-zeros rule, freeing nothing.
 
-    Every gradient starts as ``zeros_like`` of its tensor and each
-    contribution is added to it; the tape's records and every intermediate
-    ``.grad`` stay in place.
+    Records hold gradient slots (an input slot is ``None`` when it needs no
+    gradient). Every gradient starts as zeros shaped like its first
+    contribution and each contribution is added to it; the tape's records
+    and every intermediate ``.grad`` stay in place.
     """
     loss.grad = np.ones((), dtype=np.float64)
     for inputs, output, backward in reversed(tape.ops):
         if output.grad is None:
             continue
-        for tensor, grad in zip(inputs, backward(output.grad)):
-            if grad is None or not tensor.requires_grad:
+        for node, grad in zip(inputs, backward(output.grad)):
+            if grad is None or node is None:
                 continue
-            if tensor.grad is None:
-                tensor.grad = np.zeros_like(tensor.data)
-            tensor.grad = tensor.grad + grad
+            if node.grad is None:
+                node.grad = np.zeros_like(grad)
+            node.grad = node.grad + grad

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -280,6 +281,39 @@ def test_backward_matches_keep_all_sweep_on_full_model(small_task):
     for key in sorted(params):
         assert lean[key] is not None, key
         assert np.array_equal(lean[key], params[key].grad), key
+
+
+# op -> whether its backward rule reads the input array x (3x4), so the
+# tape must keep that array alive after the caller drops x
+_INPUT_RETENTION = {
+    "add": (lambda x, o: x + o, False),
+    "sub": (lambda x, o: o - x, False),
+    "concat": (lambda x, o: ad.concat(x, o), False),
+    "reshape": (lambda x, o: ad.reshape(x, (-1,)), False),
+    "take_rows": (lambda x, o: ad.take_rows(x, [0, 2, 2]), False),
+    "segment_sum": (lambda x, o: ad.segment_sum(x, [0, 1, 0], 2), False),
+    "relu": (lambda x, o: ad.relu(x), False),
+    "leaky_relu": (lambda x, o: ad.leaky_relu(x), False),
+    "neg": (lambda x, o: -x, False),
+    "reduce_sum": (lambda x, o: ad.reduce_sum(x, axis=0), False),
+    "left_matmul": (lambda x, o: ad.left_matmul(np.ones((2, 3)), x), False),
+    "matmul": (lambda x, o: x @ ad.reshape(o, (4, 3)), True),
+    "mul": (lambda x, o: x * o, True),
+    "absval": (lambda x, o: ad.absval(x), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_RETENTION))
+def test_tape_keeps_an_input_array_only_if_its_backward_reads_it(rng, name):
+    op, kept = _INPUT_RETENTION[name]
+    other = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    ref = weakref.ref(x.data)
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(op(x, other))
+    del x
+    assert (ref() is not None) == kept
+    tape.backward(loss)  # the sweep needs nothing that was freed
 
 
 def test_backward_empty_tape_errors():

@@ -181,6 +181,36 @@ def test_eval_entity_count_mismatch(run_dir, tmp_path, capsys):
     assert "entities" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({"gcn_depth": 3}, "checkpoint lacks parameter 'gcn.gate_b2'"),
+    ({"gcn_depth": 1}, "checkpoint has unexpected parameter 'gcn.gate_b1'"),
+    ({"d_r": 8}, "parameter 'enhance.head_w' has shape (18, 12), but the run's config "
+                 "on this dataset (80 and 80 entities) needs (20, 12)"),
+])
+def test_eval_checkpoint_config_mismatch_exits_data(run_dir, dataset, tmp_path, capsys,
+                                                    edits, message):
+    edited = tmp_path / "edited_run"
+    shutil.copytree(run_dir, edited)
+    manifest = json.loads((edited / "manifest.json").read_text())
+    manifest["config"].update(edits)
+    (edited / "manifest.json").write_text(json.dumps(manifest))
+    code = run_cli("eval", "--model", str(edited), "--data", str(dataset))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"checkpoint.npz: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_eval_embedding_width_mismatch_exits_data(run_dir, tmp_path, capsys):
+    other = tmp_path / "wider"
+    assert run_cli("gen-synth", "--entities", "80", "--relations", "8",
+                   "--avg-degree", "4", "--emb-dim", "16", "--seed", "3",
+                   "--out", str(other)) == EXIT_OK
+    code = run_cli("eval", "--model", str(run_dir), "--data", str(other))
+    assert code == EXIT_DATA
+    assert "parameter 'emb1' has shape (80, 12)" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- ablate
 
 
@@ -259,6 +289,20 @@ def test_train_non_finite_embedding_exits_data(dataset, tmp_path, capsys):
                    "--out", str(tmp_path / "r"))
     assert code == EXIT_DATA
     assert "ent_emb_1:1: non-finite" in capsys.readouterr().err
+
+
+def test_train_duplicate_embedding_exits_data(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad_data"
+    shutil.copytree(dataset, bad)
+    emb = bad / "ent_emb_2"
+    rows = emb.read_text().splitlines()
+    emb.write_text("\n".join(rows + [rows[5]]) + "\n")
+    code = run_cli("train", "--data", str(bad), "--epochs", "1",
+                   "--out", str(tmp_path / "r"))
+    assert code == EXIT_DATA
+    eid = rows[5].split("\t")[0]
+    err = capsys.readouterr().err
+    assert f"ent_emb_2:{len(rows) + 1}: duplicate embedding for entity id {eid}" in err
 
 
 def test_train_divergence_exits_numeric(dataset, tmp_path, capsys):

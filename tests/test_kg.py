@@ -185,6 +185,20 @@ def test_loader_rejects_non_finite_embedding(tmp_path, small_task, bad):
         kg.load_dbp15k(out)
 
 
+def test_loader_rejects_duplicate_embedding_row(tmp_path, small_task):
+    out = tmp_path / "ds"
+    kg.save_dbp15k(small_task, out)
+    emb_path = out / "ent_emb_1"
+    lines = emb_path.read_text().splitlines()
+    eid = lines[0].split("\t")[0]
+    lines.append(f"{eid}\t" + " ".join(["9.0"] * small_task.emb_dim))
+    emb_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(
+        DataError, match=rf"ent_emb_1:{len(lines)}: duplicate embedding for entity id {eid}$"
+    ):
+        kg.load_dbp15k(out)
+
+
 # ----------------------------------------------------------------- synthetic
 
 
