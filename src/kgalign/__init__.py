@@ -6,9 +6,8 @@ from .autodiff import Tape, Tensor
 from .evaluation import EvalReport, evaluate
 from .kg import (
     AlignmentTask,
+    GraphStructure,
     KnowledgeGraph,
-    RelationExpandedGraph,
-    expand_relations,
     generate_synthetic_pair,
     load_dbp15k,
     save_dbp15k,
@@ -19,13 +18,12 @@ __all__ = [
     "AlignmentTask",
     "EvalReport",
     "FitResult",
+    "GraphStructure",
     "KnowledgeGraph",
-    "RelationExpandedGraph",
     "Tape",
     "Tensor",
     "TrainConfig",
     "evaluate",
-    "expand_relations",
     "fit",
     "generate_synthetic_pair",
     "load_dbp15k",

@@ -48,10 +48,17 @@ def dataset_fingerprint(directory):
 _CONFIG_FIELDS = {f: t for f, t in TrainConfig.__annotations__.items()}
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(field, raw):
     kind = _CONFIG_FIELDS[field]
     if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        try:
+            return _BOOLS[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {raw!r}") from None
     if kind is int:
         return int(raw)
     if kind is float:
@@ -180,8 +187,21 @@ def _load_run(run_dir):
     if not os.path.exists(checkpoint_path):
         raise DataError(f"missing checkpoint: {checkpoint_path}")
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    cfg = TrainConfig(**manifest["config"])
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{manifest_path}: not valid JSON: {exc}") from None
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(config, dict):
+        raise DataError(f"{manifest_path}: no config object")
+    unknown = sorted(set(config) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise DataError(f"{manifest_path}: unknown config key {unknown[0]!r}")
+    try:
+        cfg = TrainConfig(**config)
+    except (TypeError, ValueError) as exc:
+        # every TrainConfig check names its key first
+        raise DataError(f"{manifest_path}: bad config value: {exc}") from None
     params = training.load_checkpoint(checkpoint_path)
     return checkpoint_path, cfg, params
 

@@ -23,7 +23,7 @@ def init_enhancer_params(rng, d_e, triple_width):
     }
 
 
-def _attention_enhance(x, triple_repr, entity_ids, num_entities, proj_w, attn_vec, slope):
+def attention_enhance(x, triple_repr, entity_ids, num_entities, proj_w, attn_vec, slope=0.3):
     """Residual update of entities from the triples grouped on them.
 
     Entities outside ``entity_ids`` receive a zero aggregate and come back
@@ -38,14 +38,6 @@ def _attention_enhance(x, triple_repr, entity_ids, num_entities, proj_w, attn_ve
     return x + ad.relu(agg)
 
 
-def head_enhance(x, triple_repr, heads, num_entities, proj_w, attn_vec, slope=0.3):
-    return _attention_enhance(x, triple_repr, heads, num_entities, proj_w, attn_vec, slope)
-
-
-def tail_enhance(x, triple_repr, tails, num_entities, proj_w, attn_vec, slope=0.3):
-    return _attention_enhance(x, triple_repr, tails, num_entities, proj_w, attn_vec, slope)
-
-
 def cycle_co_enhance(x, triple_repr, heads, tails, num_entities, params, mode=2, slope=0.3):
     """Alternate head/tail residual updates in the order given by ``mode``.
 
@@ -54,35 +46,14 @@ def cycle_co_enhance(x, triple_repr, heads, tails, num_entities, params, mode=2,
     """
     if mode not in CYCLE_STEPS:
         raise ValueError(f"cycle mode must be one of {sorted(CYCLE_STEPS)}, got {mode}")
+    roles = {"h": ("head", heads), "t": ("tail", tails)}
     for step in CYCLE_STEPS[mode]:
-        if step == "h":
-            x = head_enhance(
-                x, triple_repr, heads, num_entities,
-                params["enhance.head_w"], params["enhance.head_a"], slope,
-            )
-        else:
-            x = tail_enhance(
-                x, triple_repr, tails, num_entities,
-                params["enhance.tail_w"], params["enhance.tail_a"], slope,
-            )
+        role, ids = roles[step]
+        x = attention_enhance(
+            x, triple_repr, ids, num_entities,
+            params[f"enhance.{role}_w"], params[f"enhance.{role}_a"], slope,
+        )
     return x
-
-
-def neighbor_edges(triples, num_entities):
-    """Directed edge arrays (src, dst) over undirected neighbors, no self-loops.
-
-    Multi-relation edges collapse to one neighbor entry; edges are sorted by
-    (src, dst) so downstream grouping is deterministic.
-    """
-    heads, tails = triples[:, 0], triples[:, 2]
-    keep = heads != tails
-    lo = np.minimum(heads[keep], tails[keep])
-    hi = np.maximum(heads[keep], tails[keep])
-    undirected = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    src = np.concatenate([undirected[:, 0], undirected[:, 1]])
-    dst = np.concatenate([undirected[:, 1], undirected[:, 0]])
-    order = np.lexsort((dst, src))
-    return src[order], dst[order]
 
 
 def neighbor_reaggregate(x, src, dst, num_entities, attn_vec, slope=0.3):
@@ -103,12 +74,16 @@ def neighbor_reaggregate(x, src, dst, num_entities, attn_vec, slope=0.3):
     return ad.concat(x, agg)
 
 
-def enhance_entities(x, triple_repr, triples, num_entities, params, mode=2,
-                     slope=0.3, skip_cycle=False):
-    """Cycle co-enhancement (unless skipped) followed by neighbor re-aggregation."""
+def enhance_entities(x, triple_repr, graph, params, mode=2, slope=0.3, skip_cycle=False):
+    """Cycle co-enhancement (unless skipped) followed by neighbor re-aggregation.
+
+    ``graph`` is a ``kg.GraphStructure``: its base triples drive the cycle and
+    its neighbor arrays the re-aggregation.
+    """
+    n = graph.num_entities
     if not skip_cycle:
-        x = cycle_co_enhance(
-            x, triple_repr, triples[:, 0], triples[:, 2], num_entities, params, mode, slope
-        )
-    src, dst = neighbor_edges(triples, num_entities)
-    return neighbor_reaggregate(x, src, dst, num_entities, params["enhance.neighbor_a"], slope)
+        trips = graph.base.triples
+        x = cycle_co_enhance(x, triple_repr, trips[:, 0], trips[:, 2], n, params, mode, slope)
+    return neighbor_reaggregate(
+        x, graph.neighbor_src, graph.neighbor_dst, n, params["enhance.neighbor_a"], slope
+    )

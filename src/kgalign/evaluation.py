@@ -26,15 +26,8 @@ class EvalReport:
         return out
 
 
-def rank_candidates(query_emb, candidate_embs, true_index):
-    """Pessimistic rank of the true candidate by L1 distance to the query."""
-    if not 0 <= true_index < len(candidate_embs):
-        raise IndexError(f"true_index {true_index} outside candidate pool")
-    dist = np.abs(candidate_embs - np.asarray(query_emb)[None, :]).sum(axis=1)
-    return int(np.sum(dist <= dist[true_index]))
-
-
-def _ranks_for_direction(query_embs, target_embs, pairs, pool):
+def rank_pairs(query_embs, target_embs, pairs, pool):
+    """Pessimistic L1 rank of each pair's target among the sorted ``pool`` ids."""
     pool = np.asarray(pool, dtype=np.int64)
     pos_in_pool = np.searchsorted(pool, pairs[:, 1])
     if (pos_in_pool >= len(pool)).any() or (pool[pos_in_pool] != pairs[:, 1]).any():
@@ -70,13 +63,13 @@ def evaluate(task, final_emb1, final_emb2, ks=(1, 10), candidate_pool="test",
         pool2 = np.arange(task.g2.num_entities)
         pool1 = np.arange(task.g1.num_entities)
 
-    ranks = _ranks_for_direction(final_emb1, final_emb2, test, pool2)
+    ranks = rank_pairs(final_emb1, final_emb2, test, pool2)
     hits, mrr = _metrics(ranks, ks)
     if not bidirectional:
         return EvalReport(hits, mrr, ranks)
 
     reverse = test[:, ::-1]
-    ranks_rev = _ranks_for_direction(final_emb2, final_emb1, reverse, pool1)
+    ranks_rev = rank_pairs(final_emb2, final_emb1, reverse, pool1)
     hits_rev, mrr_rev = _metrics(ranks_rev, ks)
     merged = {k: (hits[k] + hits_rev[k]) / 2.0 for k in hits}
     return EvalReport(

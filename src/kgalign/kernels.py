@@ -47,16 +47,6 @@ def segment_max(values, ids, num_segments):
     return out
 
 
-def scatter_add_rows(out, ids, rows):
-    """Add `rows` into `out` at row positions `ids`, accumulating duplicates.
-
-    The rows of each target are summed first, in input order, and then added
-    to `out`; from a zero `out` this is bitwise equal to ``np.add.at``.
-    """
-    out += segment_sum(rows, ids, out.shape[0]).reshape(out.shape)
-    return out
-
-
 def pairwise_manhattan(a, b):
     """Dense (len(a), len(b)) matrix of L1 distances between row vectors."""
     a = np.ascontiguousarray(a, dtype=np.float64)

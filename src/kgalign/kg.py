@@ -66,66 +66,15 @@ class KnowledgeGraph:
         return self.triples[:, 2]
 
 
-@dataclass
-class RelationExpandedGraph:
-    """Base graph plus original/reverse/self relation expansion.
+def build_normalized_adjacency(g: KnowledgeGraph) -> sp.csr_matrix:
+    """Symmetric degree-normalized adjacency of the undirected graph.
 
-    Relation ids: original r, reverse r + |R|, shared self-relation 2|R|.
+    Edges connected by multiple relations collapse to weight 1, and the
+    diagonal is 1 for every entity.
     """
-
-    base: KnowledgeGraph
-    expanded_triples: np.ndarray
-    adjacency_norm: sp.csr_matrix
-
-    @property
-    def num_entities(self):
-        return self.base.num_entities
-
-    @property
-    def num_expanded_relations(self):
-        return 2 * self.base.num_relations + 1
-
-
-def _looks_expanded(g: KnowledgeGraph) -> bool:
-    # an expanded graph has an odd relation count, a self-triple (e, 2R, e)
-    # for every entity, and the full reverse closure underneath
-    if g.num_relations < 3 or g.num_relations % 2 == 0:
-        return False
-    base_rels = (g.num_relations - 1) // 2
-    self_id = g.num_relations - 1
-    triple_set = {tuple(t) for t in g.triples.tolist()}
-    for e in range(g.num_entities):
-        if (e, self_id, e) not in triple_set:
-            return False
-    for h, r, t in g.triples.tolist():
-        if r < base_rels and (t, r + base_rels, h) not in triple_set:
-            return False
-    return True
-
-
-def expand_relations(g: KnowledgeGraph) -> RelationExpandedGraph:
-    """Add reverse and self relations; |expanded| = 2|triples| + |entities|."""
-    if _looks_expanded(g):
-        raise DataError("graph already carries the reverse/self relation expansion")
-    n, r = g.num_entities, g.num_relations
-    reverse = np.stack([g.tails, g.rels + r, g.heads], axis=1)
-    selfloops = np.stack(
-        [np.arange(n), np.full(n, 2 * r, dtype=np.int64), np.arange(n)], axis=1
-    )
-    expanded = np.concatenate([g.triples, reverse, selfloops], axis=0)
-    return RelationExpandedGraph(g, expanded, build_normalized_adjacency(g))
-
-
-def build_normalized_adjacency(g) -> sp.csr_matrix:
-    """Symmetric degree-normalized adjacency with self-loops.
-
-    Edges connected by multiple relations collapse to weight 1; the diagonal
-    is 1 whether or not a self-relation edge is present.
-    """
-    base = g.base if isinstance(g, RelationExpandedGraph) else g
-    n = base.num_entities
-    rows = np.concatenate([base.heads, base.tails, np.arange(n)])
-    cols = np.concatenate([base.tails, base.heads, np.arange(n)])
+    n = g.num_entities
+    rows = np.concatenate([g.heads, g.tails, np.arange(n)])
+    cols = np.concatenate([g.tails, g.heads, np.arange(n)])
     data = np.ones(rows.size)
     adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     adj.data[:] = 1.0  # collapse duplicates accumulated by the COO sum
@@ -134,10 +83,38 @@ def build_normalized_adjacency(g) -> sp.csr_matrix:
     return (inv_sqrt @ adj @ inv_sqrt).tocsr()
 
 
+def neighbor_edges(triples):
+    """Directed edge arrays (src, dst) over undirected neighbors, no self-loops.
+
+    Multi-relation edges collapse to one neighbor entry; edges are sorted by
+    (src, dst) so downstream grouping is deterministic.
+    """
+    heads, tails = triples[:, 0], triples[:, 2]
+    keep = heads != tails
+    lo = np.minimum(heads[keep], tails[keep])
+    hi = np.maximum(heads[keep], tails[keep])
+    # an edge (a, b) is the key a * width + b, which sorts by (a, b)
+    width = int(hi.max()) + 1 if hi.size else 1
+    undirected = np.unique(lo * width + hi)
+    lo, hi = np.divmod(undirected, width)
+    directed = np.sort(np.concatenate([undirected, hi * width + lo]))
+    return np.divmod(directed, width)
+
+
+class GraphStructure:
+    """A graph plus the constants every forward pass reads, built once."""
+
+    def __init__(self, base: KnowledgeGraph):
+        self.base = base
+        self.num_entities = base.num_entities
+        self.adjacency_norm = build_normalized_adjacency(base)
+        self.neighbor_src, self.neighbor_dst = neighbor_edges(base.triples)
+
+
 @dataclass
 class AlignmentTask:
-    g1: RelationExpandedGraph
-    g2: RelationExpandedGraph
+    g1: GraphStructure
+    g2: GraphStructure
     seeds_train: np.ndarray  # (k, 2) pairs of (id in g1, id in g2)
     seeds_test: np.ndarray
     init_emb1: np.ndarray
@@ -301,9 +278,7 @@ def load_dbp15k(directory, train_ratio=0.30, seed=0) -> AlignmentTask:
 
     kg1 = KnowledgeGraph(len(map1), nrel1, triples1, entity_names=names1)
     kg2 = KnowledgeGraph(len(map2), nrel2, triples2, entity_names=names2)
-    return AlignmentTask(
-        expand_relations(kg1), expand_relations(kg2), train, test, emb1, emb2
-    )
+    return AlignmentTask(GraphStructure(kg1), GraphStructure(kg2), train, test, emb1, emb2)
 
 
 def read_graph_stats(directory):
@@ -441,4 +416,4 @@ def generate_synthetic_pair(
         n_entities, n_relations, triples2,
         entity_names=[f"g2_entity_{i}" for i in range(n_entities)],
     )
-    return AlignmentTask(expand_relations(kg1), expand_relations(kg2), train, test, emb1, emb2)
+    return AlignmentTask(GraphStructure(kg1), GraphStructure(kg2), train, test, emb1, emb2)

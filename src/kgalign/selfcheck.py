@@ -128,11 +128,13 @@ def _random_graph_tensors(rng, n=6, m=10, n_rel=3, d_e=4):
     heads = rng.integers(0, n, size=m)
     tails = (heads + 1 + rng.integers(0, n - 1, size=m)) % n
     rels = np.concatenate([np.arange(n_rel), rng.integers(0, n_rel, size=m - n_rel)])
-    triples_arr = np.stack([heads, rels, tails], axis=1).astype(np.int64)
-    # make sure every entity occurs somewhere
+    # link every entity no triple mentions to its successor, so the
+    # instance is a valid KnowledgeGraph
     missing = np.setdiff1d(np.arange(n), np.concatenate([heads, tails]))
-    for i, e in enumerate(missing):
-        triples_arr[i % m, 0] = e
+    triples_arr = np.concatenate([
+        np.stack([heads, rels, tails], axis=1),
+        np.stack([missing, np.zeros_like(missing), (missing + 1) % n], axis=1),
+    ]).astype(np.int64)
     x = _param(rng, (n, d_e))
     return x, np.unique(triples_arr, axis=0)
 
@@ -166,12 +168,13 @@ def _fd_case_triple_encoder(rng):
 
 def _fd_case_entity_enhancer(rng):
     x, trips = _random_graph_tensors(rng, n=6, m=10, n_rel=3, d_e=4)
+    graph = kg.GraphStructure(kg.KnowledgeGraph(6, int(trips[:, 1].max()) + 1, trips))
     width = 5
     t_repr = _param(rng, (len(trips), width))
     params = enhancer.init_enhancer_params(rng, 4, width)
 
     def fn(*_):
-        out = enhancer.enhance_entities(x, t_repr, trips, 6, params, mode=2)
+        out = enhancer.enhance_entities(x, t_repr, graph, params, mode=2)
         return ad.reduce_sum(out)
 
     return fn, [x, t_repr, params["enhance.head_w"], params["enhance.neighbor_a"]]
@@ -333,25 +336,18 @@ def run_oracle_checks(seed=99, entities=30, n_triples=80, n_rel=5):
     t_repr = rng.normal(size=(n_triples, width))
     w_proj = rng.normal(size=(width, 6))
     a_ent = rng.normal(size=(12, 1))
-    got = enhancer.head_enhance(
-        xt, ad.Tensor(t_repr), heads, entities, ad.Tensor(w_proj), ad.Tensor(a_ent)
-    ).data
     proj = t_repr @ w_proj
-    want = x + relu_act(
-        naive_grouped_attention(proj, x[heads], proj, heads, entities, a_ent, lambda m: m)
-    )
-    results.append(_check_close("head_enhance", got, want))
-
-    got = enhancer.tail_enhance(
-        xt, ad.Tensor(t_repr), tails, entities, ad.Tensor(w_proj), ad.Tensor(a_ent)
-    ).data
-    want = x + relu_act(
-        naive_grouped_attention(proj, x[tails], proj, tails, entities, a_ent, lambda m: m)
-    )
-    results.append(_check_close("tail_enhance", got, want))
+    for role, ids in (("head", heads), ("tail", tails)):
+        got = enhancer.attention_enhance(
+            xt, ad.Tensor(t_repr), ids, entities, ad.Tensor(w_proj), ad.Tensor(a_ent)
+        ).data
+        want = x + relu_act(
+            naive_grouped_attention(proj, x[ids], proj, ids, entities, a_ent, lambda m: m)
+        )
+        results.append(_check_close(f"attention_enhance[{role}]", got, want))
 
     trips = np.stack([heads, rels, tails], axis=1).astype(np.int64)
-    src, dst = enhancer.neighbor_edges(trips, entities)
+    src, dst = kg.neighbor_edges(trips)
     a_nbr = rng.normal(size=(12, 1))
     got = enhancer.neighbor_reaggregate(xt, src, dst, entities, ad.Tensor(a_nbr)).data
     want_agg = relu_act(
@@ -359,18 +355,17 @@ def run_oracle_checks(seed=99, entities=30, n_triples=80, n_rel=5):
     )
     results.append(_check_close("neighbor_reaggregate", got, np.concatenate([x, want_agg], axis=1)))
 
+    # evaluate's rank path against a full sort of each query's distances
     emb_q = rng.normal(size=(20, 4))
     emb_c = rng.normal(size=(20, 4))
-    for q_idx in range(5):
-        dist = np.abs(emb_c - emb_q[q_idx]).sum(axis=1)
-        want_rank = int(np.searchsorted(np.sort(dist), dist[q_idx], side="right"))
-        got_rank = evaluation.rank_candidates(emb_q[q_idx], emb_c, q_idx)
-        if got_rank != want_rank:
-            results.append(CheckResult("oracle/rank_candidates", False,
-                                       f"rank {got_rank} != {want_rank}"))
-            break
-    else:
-        results.append(CheckResult("oracle/rank_candidates", True, "5 queries match full sort"))
+    pairs = np.stack([np.arange(5), np.arange(5)], axis=1)
+    got_ranks = evaluation.rank_pairs(emb_q, emb_c, pairs, np.arange(20))
+    want_ranks = [
+        int(np.searchsorted(np.sort(dist), dist[q], side="right"))
+        for q, dist in enumerate(np.abs(emb_c[None] - emb_q[:5, None]).sum(axis=2))
+    ]
+    results.append(CheckResult("oracle/rank_pairs", got_ranks.tolist() == want_ranks,
+                               f"ranks {got_ranks.tolist()} vs full sort {want_ranks}"))
 
     graph = kg.KnowledgeGraph(entities, n_rel, np.unique(trips, axis=0))
     adj = kg.build_normalized_adjacency(graph)

@@ -65,15 +65,6 @@ class TrainConfig:
         return asdict(self)
 
 
-def manhattan_distance(u, v):
-    """L1 distance between two equal-width vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"width mismatch: {u.shape} vs {v.shape}")
-    return float(np.abs(u - v).sum())
-
-
 def margin_loss(pos_dist, neg_dist, margin):
     """Sum of hinge terms max(pos - neg + margin, 0) over aligned entries."""
     if pos_dist.data.shape != neg_dist.data.shape:
@@ -194,9 +185,8 @@ def forward(task, params, cfg):
             variant=cfg.variant, slope=cfg.leaky_slope,
         )
         final = enhancer.enhance_entities(
-            x, encoding.triple_repr, graph.base.triples, graph.num_entities, params,
-            mode=cfg.cycle_mode, slope=cfg.leaky_slope,
-            skip_cycle=(cfg.variant == "wo-C"),
+            x, encoding.triple_repr, graph, params, mode=cfg.cycle_mode,
+            slope=cfg.leaky_slope, skip_cycle=(cfg.variant == "wo-C"),
         )
         outputs.append(final)
     return outputs[0], outputs[1]

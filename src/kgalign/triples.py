@@ -53,17 +53,17 @@ def global_relation(x, heads, tails, rel_ids, num_relations):
     return total * (1.0 / counts)[:, None]
 
 
-def _specificity_parts(x, heads, tails, local_w):
+def triple_specificity(x, heads, tails, local_w):
+    """Per-triple (head ‖ projected local relation ‖ tail) concatenation.
+
+    Also returns the unprojected local (head ‖ tail) pair, which the
+    relation-aware query reuses.
+    """
     x_h = ad.take_rows(x, heads)
     x_t = ad.take_rows(x, tails)
     local = ad.concat(x_h, x_t)
     projected = ad.matmul(local, local_w)
     return ad.concat(ad.concat(x_h, projected), x_t), local
-
-
-def triple_specificity(x, heads, tails, local_w):
-    """Per-triple (head ‖ projected local relation ‖ tail) concatenation."""
-    return _specificity_parts(x, heads, tails, local_w)[0]
 
 
 def role_aware_attention(query, key, value, group_ids, num_groups, attn_vec, slope=0.3):
@@ -85,7 +85,7 @@ def semantic_triple(x, heads, rels, tails, num_relations, params, slope=0.3,
 
     With ``with_attention`` off, only the projected specificity survives.
     """
-    specificity, local = _specificity_parts(x, heads, tails, params["triple.local_w"])
+    specificity, local = triple_specificity(x, heads, tails, params["triple.local_w"])
     key = ad.matmul(specificity, params["triple.key_w"])
     if not with_attention:
         return key

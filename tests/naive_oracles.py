@@ -78,10 +78,11 @@ def random_connected_triples(rng, n_entities, n_triples, n_relations):
     rels = np.concatenate(
         [np.arange(n_relations), rng.integers(0, n_relations, size=n_triples - n_relations)]
     )
-    trips = np.stack([heads, rels, tails], axis=1).astype(np.int64)
     missing = np.setdiff1d(np.arange(n_entities), np.concatenate([heads, tails]))
-    for i, e in enumerate(missing):
-        trips[i % n_triples, 0] = int(e)
+    trips = np.concatenate([
+        np.stack([heads, rels, tails], axis=1),
+        np.stack([missing, np.zeros_like(missing), (missing + 1) % n_entities], axis=1),
+    ]).astype(np.int64)
     return np.unique(trips, axis=0)
 
 

@@ -92,12 +92,14 @@ def test_criterion_2_oracle_equivalence():
         w_proj = rng.normal(size=(width, d))
         a_ent = rng.normal(size=(2 * d, 1))
         proj = t_repr @ w_proj
-        for entity_ids, fn in ((heads, enhancer.head_enhance), (tails, enhancer.tail_enhance)):
-            got = fn(xt, ad.Tensor(t_repr), entity_ids, n, ad.Tensor(w_proj), ad.Tensor(a_ent)).data
+        for entity_ids in (heads, tails):
+            got = enhancer.attention_enhance(
+                xt, ad.Tensor(t_repr), entity_ids, n, ad.Tensor(w_proj), ad.Tensor(a_ent)
+            ).data
             agg = naive.grouped_attention(proj, x[entity_ids], proj, entity_ids, n, a_ent)
             assert np.abs(got - (x + np.maximum(agg, 0.0))).max() <= tol
 
-        src, dst = enhancer.neighbor_edges(trips, n)
+        src, dst = kg.neighbor_edges(trips)
         a_nbr = rng.normal(size=(2 * d, 1))
         got = enhancer.neighbor_reaggregate(xt, src, dst, n, ad.Tensor(a_nbr)).data
         agg = np.maximum(naive.grouped_attention(x[src], x[dst], x[dst], src, n, a_nbr), 0.0)

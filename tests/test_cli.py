@@ -145,6 +145,23 @@ def test_config_file_unknown_key(dataset, tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("line", ["semi = ture", "neg_sample_all = flase", "semi = 2"])
+def test_config_file_bad_boolean_is_data_error(tmp_path, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"epochs = 3\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(cli.DataError, match=rf"bad\.cfg:2: bad value for {key}$"):
+        cli.load_config_file(config)
+
+
+def test_config_file_boolean_spellings(tmp_path):
+    config = tmp_path / "ok.cfg"
+    config.write_text("semi = YES\nneg_sample_all = Off\n")
+    assert cli.load_config_file(config) == {"semi": True, "neg_sample_all": False}
+    config.write_text("semi = 0\nneg_sample_all = True\n")
+    assert cli.load_config_file(config) == {"semi": False, "neg_sample_all": True}
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -198,6 +215,33 @@ def test_eval_checkpoint_config_mismatch_exits_data(run_dir, dataset, tmp_path, 
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert f"checkpoint.npz: {message}" in err
+    assert "Traceback" not in err
+
+
+def _edit_config(**edits):
+    def edit(text):
+        manifest = json.loads(text)
+        manifest["config"].update(edits)
+        return json.dumps(manifest)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_config(dropout=0.1), "unknown config key 'dropout'"),
+    (_edit_config(margin=-1), "bad config value: margin must be positive"),
+    (lambda text: text[: len(text) // 2], "not valid JSON"),  # cut off mid-write
+    (lambda text: "[]", "no config object"),
+], ids=["unknown-key", "bad-value", "truncated", "no-config"])
+def test_eval_bad_manifest_config_exits_data(run_dir, dataset, tmp_path, capsys,
+                                             edit, message):
+    edited = tmp_path / "edited_run"
+    shutil.copytree(run_dir, edited)
+    manifest = edited / "manifest.json"
+    manifest.write_text(edit(manifest.read_text()))
+    code = run_cli("eval", "--model", str(edited), "--data", str(dataset))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"manifest.json: {message}" in err
     assert "Traceback" not in err
 
 
@@ -265,6 +309,14 @@ def test_check_detects_injected_backward_sign_flip(monkeypatch, capsys):
     monkeypatch.setattr(ad, "tanh", real_tanh)
     by_name = {r.name: r for r in results}
     assert not by_name["grad/tanh"].passed
+
+
+def test_check_random_graph_mentions_every_entity():
+    # seed 177 draws no triple for entity 3; linking it in must not isolate
+    # another entity, or `check` stops with a data error
+    from kgalign import kg
+    _, trips = selfcheck._random_graph_tensors(np.random.default_rng(177), n=5, m=8, n_rel=2)
+    kg.KnowledgeGraph(5, 2, trips)
 
 
 def test_usage_error_exit_code(capsys):

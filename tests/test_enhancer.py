@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
-from kgalign import enhancer
+from kgalign import enhancer, kg
 
 import naive_oracles as naive
 
@@ -15,6 +15,10 @@ def make_instance(rng, n=10, m=20, n_rel=3, d_e=4, width=5):
     return x, trips, t_repr, params
 
 
+def structure_of(trips, n):
+    return kg.GraphStructure(kg.KnowledgeGraph(n, int(trips[:, 1].max()) + 1, trips))
+
+
 # ----------------------------------------------------------- head/tail steps
 
 
@@ -23,8 +27,8 @@ def test_entity_without_triples_is_bitwise_unchanged(rng):
     t_repr = rng.normal(size=(2, 5))
     w = ad.Tensor(rng.normal(size=(5, 3)))
     a = ad.Tensor(rng.normal(size=(6, 1)))
-    out = enhancer.head_enhance(ad.Tensor(x), ad.Tensor(t_repr),
-                                np.array([0, 1]), 4, w, a).data
+    out = enhancer.attention_enhance(ad.Tensor(x), ad.Tensor(t_repr),
+                                     np.array([0, 1]), 4, w, a).data
     # entities 2 and 3 head nothing
     assert (out[2] == x[2]).all() and (out[3] == x[3]).all()
 
@@ -34,43 +38,28 @@ def test_singleton_head_group_residual(rng):
     t_repr = rng.normal(size=(1, 4))
     w = rng.normal(size=(4, 3))
     a = rng.normal(size=(6, 1))
-    out = enhancer.head_enhance(ad.Tensor(x), ad.Tensor(t_repr),
-                                np.array([0]), 2, ad.Tensor(w), ad.Tensor(a)).data
+    out = enhancer.attention_enhance(ad.Tensor(x), ad.Tensor(t_repr),
+                                     np.array([0]), 2, ad.Tensor(w), ad.Tensor(a)).data
     want = x.copy()
     want[0] = x[0] + np.maximum(t_repr[0] @ w, 0.0)
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
-def test_head_enhance_matches_naive(rng):
+@pytest.mark.parametrize("role, column", [("head", 0), ("tail", 2)], ids=["head", "tail"])
+def test_attention_enhance_matches_naive(rng, role, column):
     x, trips, t_repr, params = make_instance(rng)
-    heads = trips[:, 0]
-    got = enhancer.head_enhance(
-        ad.Tensor(x), ad.Tensor(t_repr), heads, 10,
-        params["enhance.head_w"], params["enhance.head_a"],
-    ).data
-    proj = t_repr @ params["enhance.head_w"].data
-    agg = naive.grouped_attention(proj, x[heads], proj, heads, 10,
-                                  params["enhance.head_a"].data)
-    np.testing.assert_allclose(got, x + np.maximum(agg, 0.0), atol=1e-10)
-
-
-def test_tail_enhance_matches_naive(rng):
-    x, trips, t_repr, params = make_instance(rng)
-    tails = trips[:, 2]
-    got = enhancer.tail_enhance(
-        ad.Tensor(x), ad.Tensor(t_repr), tails, 10,
-        params["enhance.tail_w"], params["enhance.tail_a"],
-    ).data
-    proj = t_repr @ params["enhance.tail_w"].data
-    agg = naive.grouped_attention(proj, x[tails], proj, tails, 10,
-                                  params["enhance.tail_a"].data)
+    ids = trips[:, column]
+    w, a = params[f"enhance.{role}_w"], params[f"enhance.{role}_a"]
+    got = enhancer.attention_enhance(ad.Tensor(x), ad.Tensor(t_repr), ids, 10, w, a).data
+    proj = t_repr @ w.data
+    agg = naive.grouped_attention(proj, x[ids], proj, ids, 10, a.data)
     np.testing.assert_allclose(got, x + np.maximum(agg, 0.0), atol=1e-10)
 
 
 def test_residual_change_localized_to_touched_entities(rng):
     x, trips, t_repr, params = make_instance(rng)
     heads = set(trips[:, 0].tolist())
-    got = enhancer.head_enhance(
+    got = enhancer.attention_enhance(
         ad.Tensor(x), ad.Tensor(t_repr), trips[:, 0], 10,
         params["enhance.head_w"], params["enhance.head_a"],
     ).data
@@ -89,7 +78,7 @@ def test_cycle_mode1_is_prefix_of_mode2(rng):
     tr = ad.Tensor(t_repr)
     mode1 = enhancer.cycle_co_enhance(xt, tr, heads, tails, 10, params, mode=1).data
     # replaying head on top of mode1's output reproduces mode2
-    manual = enhancer.head_enhance(
+    manual = enhancer.attention_enhance(
         ad.Tensor(mode1), tr, heads, 10,
         params["enhance.head_w"], params["enhance.head_a"],
     ).data
@@ -121,7 +110,7 @@ def test_cycle_invalid_mode(rng):
 
 def test_neighbor_edges_undirected_unique_sorted():
     trips = np.array([[0, 0, 1], [1, 1, 0], [1, 0, 2], [2, 2, 2]], dtype=np.int64)
-    src, dst = enhancer.neighbor_edges(trips, 3)
+    src, dst = kg.neighbor_edges(trips)
     # multi-edges collapse, self-loop dropped, both directions present
     assert list(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
@@ -149,7 +138,7 @@ def test_neighbor_star_matches_naive(rng):
     # 4-neighbor star centered at 0
     x = rng.normal(size=(5, 3))
     trips = np.array([[0, 0, i] for i in range(1, 5)], dtype=np.int64)
-    src, dst = enhancer.neighbor_edges(trips, 5)
+    src, dst = kg.neighbor_edges(trips)
     a = rng.normal(size=(6, 1))
     out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, 5, ad.Tensor(a)).data
     agg = naive.grouped_attention(x[src], x[dst], x[dst], src, 5, a)
@@ -161,7 +150,7 @@ def test_empty_neighborhood_gets_zero_block(rng):
     # only a self-loop triple: no undirected neighbors at all
     trips = np.array([[0, 0, 0], [1, 0, 2]], dtype=np.int64)
     x = rng.normal(size=(3, 3))
-    src, dst = enhancer.neighbor_edges(trips, 3)
+    src, dst = kg.neighbor_edges(trips)
     a = rng.normal(size=(6, 1))
     out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, 3, ad.Tensor(a)).data
     assert (out[0, 3:] == 0.0).all()
@@ -169,14 +158,15 @@ def test_empty_neighborhood_gets_zero_block(rng):
 
 def test_final_width_doubles(rng):
     x, trips, t_repr, params = make_instance(rng)
-    out = enhancer.enhance_entities(ad.Tensor(x), ad.Tensor(t_repr), trips, 10, params)
+    out = enhancer.enhance_entities(ad.Tensor(x), ad.Tensor(t_repr), structure_of(trips, 10),
+                                    params)
     assert out.data.shape == (10, 8)
 
 
 def test_skip_cycle_variant_well_formed(rng):
     x, trips, t_repr, params = make_instance(rng)
-    out = enhancer.enhance_entities(ad.Tensor(x), ad.Tensor(t_repr), trips, 10, params,
-                                    skip_cycle=True)
+    out = enhancer.enhance_entities(ad.Tensor(x), ad.Tensor(t_repr), structure_of(trips, 10),
+                                    params, skip_cycle=True)
     assert out.data.shape == (10, 8)
     assert np.isfinite(out.data).all()
     # without the cycle, the first half is exactly the input
@@ -201,9 +191,10 @@ def test_full_module_gradient(rng):
     params = enhancer.init_enhancer_params(np.random.default_rng(3), 3, 4)
     x = ad.Tensor(x_data, requires_grad=True)
     t_repr = ad.Tensor(t_data, requires_grad=True)
+    graph = structure_of(trips, 8)
 
     def fn(*_):
-        out = enhancer.enhance_entities(x, t_repr, trips, 8, params, mode=2)
+        out = enhancer.enhance_entities(x, t_repr, graph, params, mode=2)
         return ad.reduce_sum(out)
 
     assert ad.fd_check(fn, [x, t_repr]) < 1e-4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgalign import evaluation, kg
-from kgalign.evaluation import EvalReport, evaluate, rank_candidates
+from kgalign.evaluation import EvalReport, evaluate, rank_pairs
 
 import naive_oracles as naive
 
@@ -14,17 +14,29 @@ def make_eval_task(rng, n=30, emb_dim=6):
 
 
 # ------------------------------------------------------------------ ranking
+# rank_pairs is the rank path evaluate uses
+
+
+def rank_one(query, cands, true_idx):
+    """Rank of candidate ``true_idx`` for one query, every candidate pooled."""
+    pairs = np.array([[0, true_idx]])
+    return int(rank_pairs(np.atleast_2d(query), cands, pairs, np.arange(len(cands)))[0])
 
 
 def test_rank_unique_nearest_is_one(rng):
     cands = rng.normal(size=(10, 4))
     query = cands[3] + 1e-6
-    assert rank_candidates(query, cands, 3) == 1
+    assert rank_one(query, cands, 3) == 1
 
 
-def test_rank_all_tied_is_pool_size():
-    cands = np.ones((10, 4))
-    assert rank_candidates(np.zeros(4), cands, 5) == 10
+def test_rank_all_tied_is_pool_size(rng):
+    task = make_eval_task(rng)
+    n = task.g1.num_entities
+    tied1, tied2 = np.zeros((n, 4)), np.ones((n, 4))
+    report = evaluate(task, tied1, tied2, candidate_pool="all")
+    assert (report.per_query_ranks == task.g2.num_entities).all()
+    report = evaluate(task, tied1, tied2)
+    assert (report.per_query_ranks == len(np.unique(task.seeds_test[:, 1]))).all()
 
 
 def test_rank_matches_full_sort_oracle(rng):
@@ -33,12 +45,13 @@ def test_rank_matches_full_sort_oracle(rng):
         query = rng.normal(size=5)
         true_idx = int(rng.integers(20))
         want = naive.ranks_by_sorting(query[None, :], cands, [true_idx])[0]
-        assert rank_candidates(query, cands, true_idx) == want
+        assert rank_one(query, cands, true_idx) == want
 
 
 def test_rank_rejects_bad_index(rng):
-    with pytest.raises(IndexError):
-        rank_candidates(np.zeros(3), rng.normal(size=(5, 3)), 7)
+    with pytest.raises(ValueError, match="missing from the candidate pool"):
+        rank_pairs(np.zeros((1, 3)), rng.normal(size=(8, 3)), np.array([[0, 7]]),
+                   np.arange(5))
 
 
 # ----------------------------------------------------------------- evaluate

@@ -41,12 +41,6 @@ def test_segment_sum_rejects_ids_outside_segments(ids, width):
         kernels.segment_sum(values, ids, 3)
 
 
-def test_scatter_add_rows_accumulates_duplicates():
-    out = np.zeros((3, 2))
-    kernels.scatter_add_rows(out, [1, 1, 0], np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    np.testing.assert_array_equal(out, [[5.0, 6.0], [4.0, 6.0], [0.0, 0.0]])
-
-
 def test_pairwise_manhattan_matches_direct(rng):
     a = rng.normal(size=(9, 5))
     b = rng.normal(size=(7, 5))
@@ -96,13 +90,3 @@ def test_segment_sum_bitwise_equals_naive_oracle(layout):
     np.testing.assert_array_equal(got, naive.segment_sum(values, ids, num_segments))
     got_1d = kernels.segment_sum(values[:, 0], ids, num_segments)
     np.testing.assert_array_equal(got_1d, naive.segment_sum(values[:, 0], ids, num_segments)[:, 0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(segment_layouts())
-def test_scatter_add_rows_from_zeros_bitwise_equals_naive_oracle(layout):
-    values, ids, num_segments = layout
-    out = np.zeros((num_segments, values.shape[1]))
-    returned = kernels.scatter_add_rows(out, ids, values)
-    assert returned is out
-    np.testing.assert_array_equal(out, naive.segment_sum(values, ids, num_segments))

@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgalign import kg
 from kgalign.kg import DataError
@@ -34,27 +38,19 @@ def test_rejects_out_of_range_ids():
         kg.KnowledgeGraph(2, 1, np.array([[0, 3, 1]]))
 
 
-# --------------------------------------------------------------- expansion
+# ---------------------------------------------------------- graph structure
 
 
-def test_expand_single_triple():
-    expanded = kg.expand_relations(tiny_graph())
-    got = {tuple(t) for t in expanded.expanded_triples.tolist()}
-    assert got == {(0, 0, 1), (1, 1, 0), (0, 2, 0), (1, 2, 1)}
-    assert expanded.num_expanded_relations == 3
-
-
-def test_expand_counts():
-    g = kg.KnowledgeGraph(4, 2, np.array([[0, 0, 1], [1, 1, 2], [2, 0, 3]]))
-    expanded = kg.expand_relations(g)
-    assert len(expanded.expanded_triples) == 2 * 3 + 4
-
-
-def test_expand_rejects_already_expanded():
-    expanded = kg.expand_relations(tiny_graph())
-    as_graph = kg.KnowledgeGraph(2, 3, expanded.expanded_triples)
-    with pytest.raises(DataError, match="already"):
-        kg.expand_relations(as_graph)
+def test_graph_structure_holds_base_adjacency_and_neighbors():
+    base = kg.KnowledgeGraph(4, 2, np.array([[0, 0, 1], [1, 1, 2], [2, 0, 3], [3, 1, 3]]))
+    graph = kg.GraphStructure(base)
+    assert graph.base is base and graph.num_entities == 4
+    want = kg.build_normalized_adjacency(base)
+    assert (graph.adjacency_norm != want).nnz == 0
+    # the self-loop (3, 1, 3) has no neighbor entry
+    assert list(zip(graph.neighbor_src.tolist(), graph.neighbor_dst.tolist())) == [
+        (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)
+    ]
 
 
 # --------------------------------------------------------------- adjacency
@@ -129,6 +125,35 @@ def test_round_trip_is_lossless(tmp_path, small_task):
     np.testing.assert_array_equal(reloaded.init_emb1, again.init_emb1)
     np.testing.assert_array_equal(reloaded.init_emb2, again.init_emb2)
     assert reloaded.g1.base.entity_names == again.g1.base.entity_names
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_entities=st.integers(10, 30),
+    n_relations=st.integers(2, 5),
+    avg_degree=st.floats(1.0, 4.0),
+    drop_triple_prob=st.floats(0.0, 0.5),
+    emb_noise_sigma=st.floats(0.0, 2.0),
+    emb_dim=st.integers(1, 5),
+    train_ratio=st.floats(0.1, 0.9),
+    rng_seed=st.integers(0, 2**16),
+)
+def test_save_load_round_trip_is_bitwise_on_fuzzed_tasks(train_ratio, rng_seed, **sizes):
+    task = kg.generate_synthetic_pair(train_ratio=train_ratio, rng_seed=rng_seed, **sizes)
+    with tempfile.TemporaryDirectory() as directory:
+        kg.save_dbp15k(task, directory)
+        loaded = kg.load_dbp15k(directory, train_ratio=train_ratio, seed=rng_seed)
+    for want, got in ((task.g1, loaded.g1), (task.g2, loaded.g2)):
+        np.testing.assert_array_equal(got.base.triples, want.base.triples)
+        assert got.base.num_relations == want.base.num_relations
+        assert got.base.entity_names == want.base.entity_names
+        np.testing.assert_array_equal(got.adjacency_norm.toarray(), want.adjacency_norm.toarray())
+        np.testing.assert_array_equal(got.neighbor_src, want.neighbor_src)
+        np.testing.assert_array_equal(got.neighbor_dst, want.neighbor_dst)
+    np.testing.assert_array_equal(loaded.seeds_train, task.seeds_train)
+    np.testing.assert_array_equal(loaded.seeds_test, task.seeds_test)
+    np.testing.assert_array_equal(loaded.init_emb1, task.init_emb1)
+    np.testing.assert_array_equal(loaded.init_emb2, task.init_emb2)
 
 
 def test_loader_errors(tmp_path, small_task):

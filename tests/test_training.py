@@ -6,33 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign import autodiff as ad
-from kgalign import evaluation, kg, training
+from kgalign import evaluation, kernels, kg, training
 from kgalign.training import TrainConfig
 
 import naive_oracles as naive
 
 
 # --------------------------------------------------------------- distances
+# the L1 distance the model uses everywhere: negatives, seed growth, ranking
+
+
+def l1(u, v):
+    return float(kernels.pairwise_manhattan(np.atleast_2d(u), np.atleast_2d(v))[0, 0])
 
 
 def test_manhattan_self_distance_zero(rng):
     v = rng.normal(size=8)
-    assert training.manhattan_distance(v, v) == 0.0
+    assert l1(v, v) == 0.0
 
 
 def test_manhattan_example():
-    assert training.manhattan_distance([0.0, 0.0], [1.0, -2.0]) == 3.0
+    assert l1([0.0, 0.0], [1.0, -2.0]) == 3.0
 
 
 def test_manhattan_symmetry(rng):
     for _ in range(10):
         u, v = rng.normal(size=6), rng.normal(size=6)
-        assert training.manhattan_distance(u, v) == training.manhattan_distance(v, u)
+        assert l1(u, v) == l1(v, u)
 
 
 def test_manhattan_width_mismatch():
     with pytest.raises(ValueError):
-        training.manhattan_distance(np.zeros(3), np.zeros(4))
+        l1(np.zeros(3), np.zeros(4))
 
 
 # -------------------------------------------------------------- margin loss
@@ -367,6 +372,24 @@ def test_semi_fit_reuses_last_evaluation_pass_as_output(monkeypatch, small_task)
     # epoch 0's taped pass, then one evaluation pass per epoch: the first
     # two are taped and reused by epochs 1 and 2, the last is the output
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("semi", [False, True])
+def test_graph_constants_built_once_per_graph_not_per_forward(monkeypatch, semi):
+    calls = {"neighbor_edges": 0, "build_normalized_adjacency": 0}
+    for name in calls:
+        real = getattr(kg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kg, name, counting)
+    task = kg.generate_synthetic_pair(40, 4, 3, emb_dim=6, rng_seed=2)
+    assert calls == {"neighbor_edges": 2, "build_normalized_adjacency": 2}
+    training.fit(task, TrainConfig(epochs=5, d_r=4, d_t=4, semi=semi, neg_refresh_epochs=2,
+                                   eval_every=2))
+    assert calls == {"neighbor_edges": 2, "build_normalized_adjacency": 2}
 
 
 # sha256 over final_emb1 then final_emb2 bytes, recorded from the per-row

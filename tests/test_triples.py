@@ -57,7 +57,7 @@ def test_global_relation_empty_relation_errors(rng):
 def test_specificity_zero_embeddings():
     x = ad.Tensor(np.zeros((3, 2)))
     w = ad.Tensor(np.ones((4, 2)))
-    out = triples.triple_specificity(x, [0, 1], [1, 2], w)
+    out, _ = triples.triple_specificity(x, [0, 1], [1, 2], w)
     np.testing.assert_array_equal(out.data, np.zeros((2, 6)))
 
 
@@ -65,7 +65,7 @@ def test_specificity_width(rng):
     d_e, d_r = 5, 3
     x = ad.Tensor(rng.normal(size=(6, d_e)))
     w = ad.Tensor(rng.normal(size=(2 * d_e, d_r)))
-    out = triples.triple_specificity(x, [0, 1, 2], [3, 4, 5], w)
+    out, _ = triples.triple_specificity(x, [0, 1, 2], [3, 4, 5], w)
     assert out.data.shape == (3, 2 * d_e + d_r)
 
 
@@ -73,8 +73,9 @@ def test_specificity_hand_computed():
     # d_e=2, d_r=1, one triple (0, r, 1)
     x = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
     w = ad.Tensor([[1.0], [1.0], [1.0], [1.0]])
-    out = triples.triple_specificity(x, [0], [1], w)
+    out, local = triples.triple_specificity(x, [0], [1], w)
     np.testing.assert_array_equal(out.data, [[1.0, 2.0, 10.0, 3.0, 4.0]])
+    np.testing.assert_array_equal(local.data, [[1.0, 2.0, 3.0, 4.0]])
 
 
 # -------------------------------------------------------------- attention
@@ -147,7 +148,7 @@ def test_semantic_without_attention_is_projected_specificity(rng):
     got = triples.semantic_triple(
         ad.Tensor(x), heads, rels, tails, n_rel, params, with_attention=False
     ).data
-    spec = triples.triple_specificity(ad.Tensor(x), heads, tails, params["triple.local_w"])
+    spec, _ = triples.triple_specificity(ad.Tensor(x), heads, tails, params["triple.local_w"])
     want = spec.data @ params["triple.key_w"].data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
