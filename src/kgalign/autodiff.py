@@ -369,7 +369,8 @@ def fd_check(forward_fn, inputs, eps=1e-5):
     """Compare tape gradients of a scalar function against central differences.
 
     Returns the maximum over all input components of
-    ``|g_ad - g_fd| / max(1, |g_fd|)``.
+    ``|g_ad - g_fd| / max(1, |g_fd|)``, or inf when any analytic or numeric
+    gradient component is not finite.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -395,7 +396,8 @@ def fd_check(forward_fn, inputs, eps=1e-5):
             flat[i] = orig
             g_fd = (f_plus - f_minus) / (2.0 * eps)
             err = abs(g_ad.reshape(-1)[i] - g_fd) / max(1.0, abs(g_fd))
-            worst = max(worst, err)
+            # max() would drop a NaN error
+            worst = max(worst, err) if np.isfinite(err) else np.inf
         tensor.grad = None
     return worst
 

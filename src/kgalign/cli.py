@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -15,7 +16,7 @@ from . import __version__
 from . import evaluation, kg, selfcheck, training
 from .autodiff import DimensionError
 from .kg import DataError
-from .training import NumericalError, TrainConfig
+from .training import ConfigError, NumericalError, TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,21 +70,20 @@ def _coerce(field, raw):
 def load_config_file(path):
     """Parse flat `key = value` lines into TrainConfig overrides."""
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DataError(f"{path}:{lineno}: expected `key = value`")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_FIELDS:
-                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                overrides[key] = _coerce(key, raw.strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad value for {key}") from None
+    for lineno, line in enumerate(kg.read_text_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise DataError(f"{path}:{lineno}: expected `key = value`")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_FIELDS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            overrides[key] = _coerce(key, raw.strip())
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad value for {key}") from None
     return overrides
 
 
@@ -226,21 +226,23 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    modes = [int(m) for m in args.cycle_modes.split(",") if m.strip()]
-    depths = [int(d) for d in args.depths.split(",") if d.strip()]
+    try:
+        modes = [int(m) for m in args.cycle_modes.split(",") if m.strip()]
+        depths = [int(d) for d in args.depths.split(",") if d.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"--cycle-modes and --depths take integers: {exc}") from None
     if not variants or not modes or not depths:
         raise _UsageError("ablation grid is empty")
 
-    task = kg.load_dbp15k(args.data, train_ratio=args.train_ratio, seed=args.seed)
+    # the settings every cell shares are checked once, before any training
+    base = TrainConfig(epochs=args.epochs, rng_seed=args.seed, d_r=args.d_r,
+                       d_t=args.d_t, train_ratio=args.train_ratio)
+    task = kg.load_dbp15k(args.data, train_ratio=base.train_ratio, seed=base.rng_seed)
     rows = []
     for variant, mode, depth in itertools.product(variants, modes, depths):
         label = f"{variant}/mode{mode}/l={depth}"
         try:
-            cfg = TrainConfig(
-                variant=variant, cycle_mode=mode, gcn_depth=depth,
-                epochs=args.epochs, rng_seed=args.seed,
-                d_r=args.d_r, d_t=args.d_t, train_ratio=args.train_ratio,
-            )
+            cfg = dataclasses.replace(base, variant=variant, cycle_mode=mode, gcn_depth=depth)
             result = training.fit(task, cfg)
             report = evaluation.evaluate(task, result.final_emb1, result.final_emb2)
             rows.append((label, f"{report.hits_at[1]:.4f}",
@@ -259,7 +261,10 @@ def cmd_ablate(args):
 
 
 def cmd_check(args):
-    results = selfcheck.run_all(trials=args.trials)
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    results = (selfcheck.run_fd_checks(trials=args.trials)
+               + selfcheck.run_oracle_checks(trials=args.trials))
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -340,7 +345,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, FileNotFoundError) as exc:
@@ -349,10 +354,6 @@ def main(argv=None):
     except (NumericalError, DimensionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # bad parameter values (config validation and the like)
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

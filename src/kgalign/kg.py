@@ -170,19 +170,32 @@ _CORE_FILES = ("ent_ids_1", "ent_ids_2", "triples_1", "triples_2", "ref_ent_ids"
 _EMB_FILES = ("ent_emb_1", "ent_emb_2")
 
 
+def read_text_lines(path):
+    """Lines of a UTF-8 text file; one that is not UTF-8 raises ``DataError``
+    naming it, found by a second read so that valid files are read once."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw_lines = fh.read().splitlines()  # splits where text mode does
+        lineno = next(i for i, raw in enumerate(raw_lines, start=1)
+                      if raw.decode("utf-8", "replace").encode("utf-8") != raw)
+        raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def _read_tsv(path, n_fields, kind):
     if not os.path.exists(path):
         raise DataError(f"missing {kind} file: {path}")
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-            rows.append((lineno, parts))
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        rows.append((lineno, parts))
     if not rows:
         raise DataError(f"{path}: file is empty")
     return rows
@@ -222,8 +235,7 @@ def _read_triples(path, id_map):
     return arr, len(rel_ids)
 
 
-def _read_embeddings(path, id_map):
-    dim = None
+def _read_embeddings(path, id_map, dim=None):
     out = None
     line_of = np.zeros(len(id_map), dtype=np.int64)  # 0 until the row is read
     for lineno, (raw_id, values) in _read_tsv(path, 2, "embedding"):
@@ -234,8 +246,8 @@ def _read_embeddings(path, id_map):
             raise DataError(f"{path}:{lineno}: malformed embedding row") from None
         if eid not in id_map:
             raise DataError(f"{path}:{lineno}: unknown entity id {eid}")
-        if dim is None:
-            dim = vec.size
+        if out is None:
+            dim = vec.size if dim is None else dim
             out = np.empty((len(id_map), dim))
         if vec.size != dim:
             raise DataError(f"{path}:{lineno}: embedding width {vec.size} != {dim}")
@@ -253,13 +265,34 @@ def _read_embeddings(path, id_map):
     return out
 
 
+def _located(exc, path, n_fields, *keys):
+    """``exc`` prefixed with ``path`` and, if a record's entry in any of ``keys``
+    repeats an earlier record's, the line of the first such record."""
+    repeats = [np.setdiff1d(np.arange(len(k)), np.unique(k, axis=0, return_index=True)[1])
+               for k in keys]
+    row = min((int(r[0]) for r in repeats if r.size), default=None)
+    if row is None:
+        return DataError(f"{path}: {exc}")
+    return DataError(f"{path}:{_read_tsv(path, n_fields, 'data')[row][0]}: {exc}")
+
+
+def _read_graph(paths, side):
+    """One side's entity id map and validated graph."""
+    id_map, names = _read_entities(paths[f"ent_ids_{side}"])
+    path = paths[f"triples_{side}"]
+    triples, n_rel = _read_triples(path, id_map)
+    try:
+        graph = KnowledgeGraph(len(id_map), n_rel, triples, entity_names=names)
+    except DataError as exc:
+        raise _located(exc, path, 3, triples) from None
+    return id_map, GraphStructure(graph)
+
+
 def load_dbp15k(directory, train_ratio=0.30, seed=0) -> AlignmentTask:
     """Load an alignment task from a DBP15K-layout directory."""
     paths = {name: os.path.join(directory, name) for name in _CORE_FILES + _EMB_FILES}
-    map1, names1 = _read_entities(paths["ent_ids_1"])
-    map2, names2 = _read_entities(paths["ent_ids_2"])
-    triples1, nrel1 = _read_triples(paths["triples_1"], map1)
-    triples2, nrel2 = _read_triples(paths["triples_2"], map2)
+    map1, g1 = _read_graph(paths, 1)
+    map2, g2 = _read_graph(paths, 2)
 
     refs = []
     ref_path = paths["ref_ent_ids"]
@@ -271,14 +304,16 @@ def load_dbp15k(directory, train_ratio=0.30, seed=0) -> AlignmentTask:
         if e1 not in map1 or e2 not in map2:
             raise DataError(f"{ref_path}:{lineno}: unknown entity in pair ({e1}, {e2})")
         refs.append((map1[e1], map2[e2]))
-    train, test = split_seed_pairs(np.array(refs, dtype=np.int64), train_ratio, seed)
+    refs = np.array(refs, dtype=np.int64)
+    train, test = split_seed_pairs(refs, train_ratio, seed)
 
     emb1 = _read_embeddings(paths["ent_emb_1"], map1)
-    emb2 = _read_embeddings(paths["ent_emb_2"], map2)
-
-    kg1 = KnowledgeGraph(len(map1), nrel1, triples1, entity_names=names1)
-    kg2 = KnowledgeGraph(len(map2), nrel2, triples2, entity_names=names2)
-    return AlignmentTask(GraphStructure(kg1), GraphStructure(kg2), train, test, emb1, emb2)
+    emb2 = _read_embeddings(paths["ent_emb_2"], map2, dim=emb1.shape[1])
+    try:
+        return AlignmentTask(g1, g2, train, test, emb1, emb2)
+    except DataError as exc:
+        # the readers checked all else, so an entity is in two seed pairs
+        raise _located(exc, ref_path, 2, refs[:, 0], refs[:, 1]) from None
 
 
 def read_graph_stats(directory):
@@ -346,12 +381,16 @@ def generate_synthetic_pair(
         raise DataError("n_entities must be at least 10")
     if n_relations < 2:
         raise DataError("n_relations must be at least 2")
-    if avg_degree < 1:
-        raise DataError("avg_degree must be at least 1")
+    if not 1 <= avg_degree < np.inf:
+        raise DataError("avg_degree must be at least 1 and finite")
     if not 0.0 <= drop_triple_prob < 1.0:
         raise DataError("drop_triple_prob must be in [0, 1); 1.0 would isolate entities")
-    if emb_noise_sigma < 0:
-        raise DataError("emb_noise_sigma must be non-negative")
+    if not 0 <= emb_noise_sigma < np.inf:
+        raise DataError("emb_noise_sigma must be non-negative and finite")
+    if emb_dim < 1:
+        raise DataError("emb_dim must be at least 1")
+    if rng_seed < 0:
+        raise DataError("rng_seed must be non-negative")
     rng = np.random.default_rng(rng_seed)
 
     n_triples = max(n_entities - 1, int(round(n_entities * avg_degree / 2)), n_relations)

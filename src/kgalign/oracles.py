@@ -1,4 +1,5 @@
-"""Independent brute-force reference implementations used by the tests.
+"""Independent brute-force reference implementations, used by the tests and
+by ``kgalign check``.
 
 Everything here is plain Python loops over numpy rows, written without
 looking at the library's vectorized/kernel code paths.

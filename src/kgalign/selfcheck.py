@@ -1,8 +1,10 @@
 """Numerical self-tests: finite-difference gradients and oracle equivalence.
 
 Every differentiable operation and each composed stage is checked against
-central differences; the grouped aggregations are checked against plain
-Python loops. Used by the ``check`` CLI command.
+central differences; the grouped aggregations, the rank path and the
+normalized adjacency are checked on random graph instances against the
+brute-force references in ``kgalign.oracles``. Used by the ``check`` CLI
+command and the acceptance tests.
 """
 
 import math
@@ -12,9 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import enhancer, evaluation, kg, structure, training, triples
+from . import oracles as naive
 
 FD_TOL = 1e-4
-ORACLE_TOL = 1e-10
 
 
 @dataclass
@@ -60,29 +62,13 @@ def _fd_case_concat(rng):
     return lambda *_: ad.reduce_sum(ad.concat(a, b) * w), [a, b]
 
 
-def _fd_case_relu(rng):
-    a = _param(rng, (4, 3))
-    return lambda *_: ad.reduce_sum(ad.relu(a)), [a]
+def _fd_case_elementwise(op_name, *args):
+    def build(rng):
+        a = _param(rng, (4, 3))
+        # looked up per call, so a patched ``ad`` function is the one checked
+        return lambda *_: ad.reduce_sum(getattr(ad, op_name)(a, *args)), [a]
 
-
-def _fd_case_leaky_relu(rng):
-    a = _param(rng, (4, 3))
-    return lambda *_: ad.reduce_sum(ad.leaky_relu(a, 0.3)), [a]
-
-
-def _fd_case_tanh(rng):
-    a = _param(rng, (4, 3))
-    return lambda *_: ad.reduce_sum(ad.tanh(a)), [a]
-
-
-def _fd_case_sigmoid(rng):
-    a = _param(rng, (4, 3))
-    return lambda *_: ad.reduce_sum(ad.sigmoid(a)), [a]
-
-
-def _fd_case_absval(rng):
-    a = _param(rng, (4, 3))
-    return lambda *_: ad.reduce_sum(ad.absval(a)), [a]
+    return build
 
 
 def _fd_case_take_rows(rng):
@@ -124,26 +110,11 @@ def _fd_case_segment_sum(rng):
     return lambda *_: ad.reduce_sum(ad.segment_sum(a, ids, 4) * w), [a]
 
 
-def _random_graph_tensors(rng, n=6, m=10, n_rel=3, d_e=4):
-    heads = rng.integers(0, n, size=m)
-    tails = (heads + 1 + rng.integers(0, n - 1, size=m)) % n
-    rels = np.concatenate([np.arange(n_rel), rng.integers(0, n_rel, size=m - n_rel)])
-    # link every entity no triple mentions to its successor, so the
-    # instance is a valid KnowledgeGraph
-    missing = np.setdiff1d(np.arange(n), np.concatenate([heads, tails]))
-    triples_arr = np.concatenate([
-        np.stack([heads, rels, tails], axis=1),
-        np.stack([missing, np.zeros_like(missing), (missing + 1) % n], axis=1),
-    ]).astype(np.int64)
-    x = _param(rng, (n, d_e))
-    return x, np.unique(triples_arr, axis=0)
-
-
 def _fd_case_structure_encoder(rng):
     n, d_e, depth = 5, 3, 2
-    x, trips = _random_graph_tensors(rng, n=n, m=8, n_rel=2, d_e=d_e)
-    graph = kg.KnowledgeGraph(n, int(trips[:, 1].max()) + 1, trips)
-    adj = kg.build_normalized_adjacency(graph)
+    trips = naive.random_connected_triples(rng, n, 8, 2)
+    x = _param(rng, (n, d_e))
+    adj = kg.build_normalized_adjacency(kg.KnowledgeGraph(n, 2, trips))
     params = structure.init_structure_params(rng, d_e, depth)
 
     def fn(*_):
@@ -153,12 +124,12 @@ def _fd_case_structure_encoder(rng):
 
 
 def _fd_case_triple_encoder(rng):
-    x, trips = _random_graph_tensors(rng, n=6, m=10, n_rel=3, d_e=4)
-    n_rel = int(trips[:, 1].max()) + 1
+    trips = naive.random_connected_triples(rng, 6, 10, 3)
+    x = _param(rng, (6, 4))
     params = triples.init_triple_params(rng, 4, 3, 2)
 
     def fn(*_):
-        enc = triples.encode_triples(x, trips, n_rel, params)
+        enc = triples.encode_triples(x, trips, 3, params)
         return ad.reduce_sum(enc.triple_repr)
 
     perturbed = [x, params["triple.head_a"], params["triple.mutual_fwd_a"],
@@ -167,8 +138,9 @@ def _fd_case_triple_encoder(rng):
 
 
 def _fd_case_entity_enhancer(rng):
-    x, trips = _random_graph_tensors(rng, n=6, m=10, n_rel=3, d_e=4)
-    graph = kg.GraphStructure(kg.KnowledgeGraph(6, int(trips[:, 1].max()) + 1, trips))
+    trips = naive.random_connected_triples(rng, 6, 10, 3)
+    x = _param(rng, (6, 4))
+    graph = kg.GraphStructure(kg.KnowledgeGraph(6, 3, trips))
     width = 5
     t_repr = _param(rng, (len(trips), width))
     params = enhancer.init_enhancer_params(rng, 4, width)
@@ -198,11 +170,11 @@ FD_CASES = [
     ("add", _fd_case_add),
     ("mul", _fd_case_mul),
     ("concat", _fd_case_concat),
-    ("relu", _fd_case_relu),
-    ("leaky_relu", _fd_case_leaky_relu),
-    ("tanh", _fd_case_tanh),
-    ("sigmoid", _fd_case_sigmoid),
-    ("absval", _fd_case_absval),
+    ("relu", _fd_case_elementwise("relu")),
+    ("leaky_relu", _fd_case_elementwise("leaky_relu", 0.3)),
+    ("tanh", _fd_case_elementwise("tanh")),
+    ("sigmoid", _fd_case_elementwise("sigmoid")),
+    ("absval", _fd_case_elementwise("absval")),
     ("take_rows", _fd_case_take_rows),
     ("reduce_sum", _fd_case_reduce_sum_axis),
     ("reshape", _fd_case_reshape),
@@ -217,13 +189,12 @@ FD_CASES = [
 
 
 def run_fd_checks(trials=20, seed=1234, tol=FD_TOL):
+    """Worst relative gradient error per case over ``trials`` random draws;
+    a case no draw checked fails."""
     results = []
     for name, builder in FD_CASES:
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(trials):
-            fn, inputs = builder(rng)
-            worst = max(worst, ad.fd_check(fn, inputs))
+        worst = max((ad.fd_check(*builder(rng)) for _ in range(trials)), default=math.inf)
         results.append(
             CheckResult(f"grad/{name}", worst < tol, f"max_rel_err={worst:.3e}")
         )
@@ -232,153 +203,121 @@ def run_fd_checks(trials=20, seed=1234, tol=FD_TOL):
 
 # ------------------------------------------------------------ naive oracles
 
-
-def naive_segment_softmax(logits, ids):
-    out = np.zeros_like(logits)
-    for seg in set(ids.tolist()):
-        pos = [i for i, s in enumerate(ids) if s == seg]
-        mx = max(logits[i] for i in pos)
-        exps = [math.exp(logits[i] - mx) for i in pos]
-        total = sum(exps)
-        for i, e in zip(pos, exps):
-            out[i] = e / total
-    return out
-
-
-def naive_segment_sum(values, ids, num_segments):
-    out = np.zeros((num_segments, values.shape[1]))
-    for i, seg in enumerate(ids):
-        for j in range(values.shape[1]):
-            out[seg, j] += values[i, j]
-    return out
+# largest library-vs-oracle difference each check accepts, in report order
+ORACLE_TOLS = {
+    "segment_softmax": 1e-10,
+    "segment_sum": 1e-12,
+    "global_relation": 1e-12,
+    "role_aware_attention": 1e-10,
+    "mutual_attention_fwd": 1e-10,
+    "mutual_attention_rev": 1e-10,
+    "attention_enhance[head]": 1e-10,
+    "attention_enhance[tail]": 1e-10,
+    "neighbor_reaggregate": 1e-10,
+    "rank_pairs": 0.0,
+    "adjacency_symmetric": 0.0,
+    "adjacency_norm_identity": 1e-9,
+}
 
 
-def naive_grouped_mean(rows, ids, num_groups):
-    out = np.zeros((num_groups, rows.shape[1]))
-    for g in range(num_groups):
-        members = [i for i, s in enumerate(ids) if s == g]
-        out[g] = sum(rows[i] for i in members) / len(members)
-    return out
+def _max_abs_diff(got, want):
+    """Largest absolute difference; inf on a shape mismatch or a non-finite entry."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        return math.inf
+    diff = np.abs(got - want)
+    return float(diff.max(initial=0.0)) if np.isfinite(diff).all() else math.inf
 
 
-def _leaky(v, slope=0.3):
-    return np.where(v > 0, v, slope * v)
-
-
-def naive_grouped_attention(query, key, value, ids, num_groups, a, out_act, slope=0.3):
-    logits = _leaky(np.concatenate([query, key], axis=1) @ a, slope).reshape(-1)
-    out = np.zeros((num_groups, value.shape[1]))
-    for g in range(num_groups):
-        members = [i for i, s in enumerate(ids) if s == g]
-        if not members:
-            continue
-        mx = max(logits[i] for i in members)
-        weights = {i: math.exp(logits[i] - mx) for i in members}
-        total = sum(weights.values())
-        acc = np.zeros(value.shape[1])
-        for i in members:
-            acc += (weights[i] / total) * value[i]
-        out[g] = acc
-    return out_act(out)
-
-
-def _check_close(name, got, want, tol=ORACLE_TOL):
-    diff = float(np.max(np.abs(got - want))) if np.size(got) else 0.0
-    return CheckResult(f"oracle/{name}", diff <= tol, f"max_abs_diff={diff:.3e}")
-
-
-def run_oracle_checks(seed=99, entities=30, n_triples=80, n_rel=5):
-    rng = np.random.default_rng(seed)
-    results = []
-
-    logits = rng.normal(size=40)
-    ids = np.sort(rng.integers(0, 6, size=40))
-    got = ad.segment_softmax(ad.Tensor(logits), ids).data
-    results.append(_check_close("segment_softmax", got, naive_segment_softmax(logits, ids)))
-
-    vals = rng.normal(size=(40, 5))
-    got = ad.segment_sum(ad.Tensor(vals), ids, 6).data
-    results.append(_check_close("segment_sum", got, naive_segment_sum(vals, ids, 6), tol=1e-12))
-
-    x = rng.normal(size=(entities, 6))
-    heads = rng.integers(0, entities, size=n_triples)
-    tails = (heads + 1 + rng.integers(0, entities - 1, size=n_triples)) % entities
-    rels = np.concatenate([np.arange(n_rel), rng.integers(0, n_rel, size=n_triples - n_rel)])
+def _oracle_diffs(rng):
+    """Draw one random graph instance and yield (check name, max abs diff)."""
+    n = int(rng.integers(10, 51))
+    m = int(rng.integers(n, 201))
+    n_rel = int(rng.integers(2, 7))
+    d = int(rng.integers(3, 7))
+    trips = naive.random_connected_triples(rng, n, m, n_rel)
+    heads, rels, tails = trips.T
+    m = len(trips)
+    x = rng.normal(size=(n, d))
     xt = ad.Tensor(x)
+
+    logits = rng.normal(size=m)
+    got = ad.segment_softmax(ad.Tensor(logits), rels).data
+    yield "segment_softmax", _max_abs_diff(got, naive.segment_softmax(logits, rels))
+
+    vals = rng.normal(size=(m, d))
+    got = ad.segment_sum(ad.Tensor(vals), rels, n_rel).data
+    yield "segment_sum", _max_abs_diff(got, naive.segment_sum(vals, rels, n_rel))
 
     got = triples.global_relation(xt, heads, tails, rels, n_rel).data
     pair = np.concatenate([x[heads], x[tails]], axis=1)
-    results.append(_check_close("global_relation", got, naive_grouped_mean(pair, rels, n_rel), tol=1e-12))
+    yield "global_relation", _max_abs_diff(got, naive.grouped_mean(pair, rels, n_rel))
 
-    d = 4
-    q = rng.normal(size=(n_triples, d))
-    k = rng.normal(size=(n_triples, d))
-    v = rng.normal(size=(n_triples, d))
+    q, k, v = (rng.normal(size=(m, d)) for _ in range(3))
     a = rng.normal(size=(2 * d, 1))
     got = triples.role_aware_attention(
         ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), rels, n_rel, ad.Tensor(a)
     ).data
-    want = naive_grouped_attention(q, k, v, rels, n_rel, a, _leaky)
-    results.append(_check_close("role_aware_attention", got, want))
+    want = naive.leaky(naive.grouped_attention(q, k, v, rels, n_rel, a))
+    yield "role_aware_attention", _max_abs_diff(got, want)
 
-    a_fwd = rng.normal(size=(2 * d, 1))
-    a_rev = rng.normal(size=(2 * d, 1))
+    a2 = rng.normal(size=(2 * d, 1))
     sem_agg, type_agg = triples.mutual_attention(
-        ad.Tensor(q), ad.Tensor(k), rels, n_rel, ad.Tensor(a_fwd), ad.Tensor(a_rev)
+        ad.Tensor(q), ad.Tensor(k), rels, n_rel, ad.Tensor(a), ad.Tensor(a2)
     )
-    relu_act = lambda m: np.maximum(m, 0.0)
-    want_fwd = naive_grouped_attention(q, k, q, rels, n_rel, a_fwd, relu_act)
-    want_rev = naive_grouped_attention(k, q, k, rels, n_rel, a_rev, relu_act)
-    results.append(_check_close("mutual_attention_fwd", sem_agg.data, want_fwd))
-    results.append(_check_close("mutual_attention_rev", type_agg.data, want_rev))
+    want = np.maximum(naive.grouped_attention(q, k, q, rels, n_rel, a), 0.0)
+    yield "mutual_attention_fwd", _max_abs_diff(sem_agg.data, want)
+    want = np.maximum(naive.grouped_attention(k, q, k, rels, n_rel, a2), 0.0)
+    yield "mutual_attention_rev", _max_abs_diff(type_agg.data, want)
 
-    width = 5
-    t_repr = rng.normal(size=(n_triples, width))
-    w_proj = rng.normal(size=(width, 6))
-    a_ent = rng.normal(size=(12, 1))
+    width = int(rng.integers(3, 6))
+    t_repr = rng.normal(size=(m, width))
+    w_proj = rng.normal(size=(width, d))
+    a_ent = rng.normal(size=(2 * d, 1))
     proj = t_repr @ w_proj
     for role, ids in (("head", heads), ("tail", tails)):
         got = enhancer.attention_enhance(
-            xt, ad.Tensor(t_repr), ids, entities, ad.Tensor(w_proj), ad.Tensor(a_ent)
+            xt, ad.Tensor(t_repr), ids, n, ad.Tensor(w_proj), ad.Tensor(a_ent)
         ).data
-        want = x + relu_act(
-            naive_grouped_attention(proj, x[ids], proj, ids, entities, a_ent, lambda m: m)
-        )
-        results.append(_check_close(f"attention_enhance[{role}]", got, want))
+        agg = naive.grouped_attention(proj, x[ids], proj, ids, n, a_ent)
+        yield f"attention_enhance[{role}]", _max_abs_diff(got, x + np.maximum(agg, 0.0))
 
-    trips = np.stack([heads, rels, tails], axis=1).astype(np.int64)
     src, dst = kg.neighbor_edges(trips)
-    a_nbr = rng.normal(size=(12, 1))
-    got = enhancer.neighbor_reaggregate(xt, src, dst, entities, ad.Tensor(a_nbr)).data
-    want_agg = relu_act(
-        naive_grouped_attention(x[src], x[dst], x[dst], src, entities, a_nbr, lambda m: m)
-    )
-    results.append(_check_close("neighbor_reaggregate", got, np.concatenate([x, want_agg], axis=1)))
+    a_nbr = rng.normal(size=(2 * d, 1))
+    got = enhancer.neighbor_reaggregate(xt, src, dst, n, ad.Tensor(a_nbr)).data
+    agg = np.maximum(naive.grouped_attention(x[src], x[dst], x[dst], src, n, a_nbr), 0.0)
+    yield "neighbor_reaggregate", _max_abs_diff(got, np.concatenate([x, agg], axis=1))
 
-    # evaluate's rank path against a full sort of each query's distances
-    emb_q = rng.normal(size=(20, 4))
-    emb_c = rng.normal(size=(20, 4))
-    pairs = np.stack([np.arange(5), np.arange(5)], axis=1)
-    got_ranks = evaluation.rank_pairs(emb_q, emb_c, pairs, np.arange(20))
-    want_ranks = [
-        int(np.searchsorted(np.sort(dist), dist[q], side="right"))
-        for q, dist in enumerate(np.abs(emb_c[None] - emb_q[:5, None]).sum(axis=2))
-    ]
-    results.append(CheckResult("oracle/rank_pairs", got_ranks.tolist() == want_ranks,
-                               f"ranks {got_ranks.tolist()} vs full sort {want_ranks}"))
+    # evaluate's rank path against a full sort of each query's distances;
+    # small integer coordinates make distance ties common
+    emb_q = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    emb_t = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    pairs = np.stack([rng.permutation(n), rng.permutation(n)], axis=1)[: n // 2]
+    pool = np.sort(pairs[:, 1])
+    got = evaluation.rank_pairs(emb_q, emb_t, pairs, pool)
+    want = naive.ranks_by_sorting(emb_q[pairs[:, 0]], emb_t[pool],
+                                  np.searchsorted(pool, pairs[:, 1]))
+    yield "rank_pairs", _max_abs_diff(got, want)
 
-    graph = kg.KnowledgeGraph(entities, n_rel, np.unique(trips, axis=0))
-    adj = kg.build_normalized_adjacency(graph)
-    sym = float(np.abs(adj - adj.T).max())
-    results.append(CheckResult("oracle/adjacency_symmetric", sym == 0.0, f"max_asym={sym:.1e}"))
+    dense = kg.build_normalized_adjacency(kg.KnowledgeGraph(n, n_rel, trips)).toarray()
+    yield "adjacency_symmetric", _max_abs_diff(dense, dense.T)
     # fixed-vector identity of symmetric normalization: A_hat @ sqrt(d) == sqrt(d)
-    dense = adj.toarray()
-    deg = (dense > 0).sum(axis=1).astype(float)
-    err = float(np.max(np.abs(dense @ np.sqrt(deg) - np.sqrt(deg))))
-    results.append(CheckResult("oracle/adjacency_norm_identity", err < 1e-9, f"max_err={err:.3e}"))
+    sqrt_deg = np.sqrt((dense > 0).sum(axis=1))
+    yield "adjacency_norm_identity", _max_abs_diff(dense @ sqrt_deg, sqrt_deg)
 
+
+def run_oracle_checks(trials=20, seed=99):
+    """Worst difference per oracle over ``trials`` random graph instances.
+
+    A check that no instance reported fails.
+    """
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for _ in range(trials):
+        for name, diff in _oracle_diffs(rng):
+            worst[name] = max(worst.get(name, 0.0), diff)
+    results = []
+    for name, tol in ORACLE_TOLS.items():
+        diff = worst.get(name, math.inf)
+        results.append(CheckResult(f"oracle/{name}", diff <= tol, f"max_abs_diff={diff:.3e}"))
     return results
-
-
-def run_all(trials=20):
-    return run_fd_checks(trials=trials) + run_oracle_checks()

@@ -7,7 +7,9 @@ current embeddings every few epochs; in semi-supervised mode the training
 pairs grow at each refresh by mutual-nearest cross-graph proposals.
 """
 
+import math
 import time
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -20,6 +22,10 @@ from .triples import VARIANTS
 
 class NumericalError(RuntimeError):
     """Raised when training produces non-finite values."""
+
+
+class ConfigError(ValueError):
+    """Raised for a ``TrainConfig`` value that is invalid, alone or for the task."""
 
 
 @dataclass
@@ -46,20 +52,30 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise ConfigError("margin must be positive and finite")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
         if self.neg_k < 1:
-            raise ValueError("neg_k must be at least 1")
+            raise ConfigError("neg_k must be at least 1")
         if self.neg_refresh_epochs < 1:
-            raise ValueError("neg_refresh_epochs must be at least 1")
+            raise ConfigError("neg_refresh_epochs must be at least 1")
         if not 0.0 < self.train_ratio < 1.0:
-            raise ValueError("train_ratio must be in (0, 1)")
+            raise ConfigError("train_ratio must be in (0, 1)")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ConfigError(f"variant must be one of {VARIANTS}")
         if self.cycle_mode not in (1, 2, 3):
-            raise ValueError("cycle_mode must be 1, 2, or 3")
+            raise ConfigError("cycle_mode must be 1, 2, or 3")
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+            raise ConfigError("epochs must be non-negative")
+        if self.eval_every < 0:
+            raise ConfigError("eval_every must be non-negative")
+        if self.gcn_depth < 1:
+            raise ConfigError("gcn_depth must be at least 1")
+        if self.d_r < 0 or self.d_t < 0:
+            raise ConfigError("d_r and d_t must be non-negative")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be non-negative")
 
     def as_dict(self):
         return asdict(self)
@@ -195,7 +211,7 @@ def forward(task, params, cfg):
 def init_params(task, cfg, rng):
     d_e = task.emb_dim if cfg.d_e is None else cfg.d_e
     if d_e != task.emb_dim:
-        raise ValueError(f"configured d_e={d_e} but embeddings have width {task.emb_dim}")
+        raise ConfigError(f"d_e={d_e} but the embeddings have width {task.emb_dim}")
     params = {
         "emb1": ad.Tensor(task.init_emb1.copy(), requires_grad=True),
         "emb2": ad.Tensor(task.init_emb2.copy(), requires_grad=True),
@@ -223,6 +239,11 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     """Train on the task's seed pairs; deterministic for a fixed config seed."""
     from .evaluation import evaluate
 
+    n1, n2 = task.g1.num_entities, task.g2.num_entities
+    if cfg.neg_k >= min(n1, n2):
+        # each side's negatives are other entities of the same graph
+        raise ConfigError(f"neg_k={cfg.neg_k} must be below the entity count of "
+                          f"each graph ({n1} and {n2})")
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(task, cfg, rng)
     order = sorted(params)
@@ -299,15 +320,22 @@ def save_checkpoint(path, params):
 
 
 def load_checkpoint(path):
-    with np.load(path) as bundle:
-        version = int(bundle["__format__"])
-        if version != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {version}")
-        return {
-            key: ad.Tensor(bundle[key], requires_grad=True)
-            for key in bundle.files
-            if key != "__format__"
-        }
+    """Parameters written by ``save_checkpoint``; ``DataError`` naming ``path``
+    for any other file."""
+    try:
+        bundle = np.load(path)
+        if not isinstance(bundle, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an .npz archive")
+        with bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a readable checkpoint: {exc}") from None
+    version = arrays.pop("__format__", None)
+    if version is None:
+        raise DataError(f"{path}: no __format__ entry, not a kgalign checkpoint")
+    if version.shape != () or version != CHECKPOINT_FORMAT:
+        raise DataError(f"{path}: unsupported checkpoint format {version}")
+    return {key: ad.Tensor(array, requires_grad=True) for key, array in arrays.items()}
 
 
 def check_checkpoint(path, params, task, cfg):

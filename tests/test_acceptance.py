@@ -12,11 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from kgalign import autodiff as ad
-from kgalign import cli, enhancer, evaluation, kg, selfcheck, training, triples
+from kgalign import cli, evaluation, kg, selfcheck, training
+from kgalign import oracles as naive
 from kgalign.training import TrainConfig
-
-import naive_oracles as naive
 
 
 def announce(number, name):
@@ -43,68 +41,11 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_oracle_equivalence():
-    rng = np.random.default_rng(2024)
-    tol = 1e-10
-    for trial in range(6):
-        n = int(rng.integers(10, 51))
-        m = int(rng.integers(n, 201))
-        n_rel = int(rng.integers(2, 7))
-        d = int(rng.integers(3, 7))
-        trips = naive.random_connected_triples(rng, n, m, n_rel)
-        heads, rels, tails = trips.T
-        m = len(trips)
-        x = rng.normal(size=(n, d))
-        xt = ad.Tensor(x)
-
-        logits = rng.normal(size=m)
-        got = ad.segment_softmax(ad.Tensor(logits), rels).data
-        assert np.abs(got - naive.segment_softmax(logits, rels)).max() <= tol
-
-        vals = rng.normal(size=(m, d))
-        got = ad.segment_sum(ad.Tensor(vals), rels, n_rel).data
-        assert np.abs(got - naive.segment_sum(vals, rels, n_rel)).max() <= 1e-12
-
-        got = triples.global_relation(xt, heads, tails, rels, n_rel).data
-        pair = np.concatenate([x[heads], x[tails]], axis=1)
-        assert np.abs(got - naive.grouped_mean(pair, rels, n_rel)).max() <= 1e-10
-
-        q, k, v = (rng.normal(size=(m, d)) for _ in range(3))
-        a = rng.normal(size=(2 * d, 1))
-        got = triples.role_aware_attention(
-            ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), rels, n_rel, ad.Tensor(a)
-        ).data
-        want = naive.leaky(naive.grouped_attention(q, k, v, rels, n_rel, a))
-        assert np.abs(got - want).max() <= tol
-
-        a2 = rng.normal(size=(2 * d, 1))
-        sem_agg, type_agg = triples.mutual_attention(
-            ad.Tensor(q), ad.Tensor(k), rels, n_rel, ad.Tensor(a), ad.Tensor(a2)
-        )
-        assert np.abs(
-            sem_agg.data - np.maximum(naive.grouped_attention(q, k, q, rels, n_rel, a), 0)
-        ).max() <= tol
-        assert np.abs(
-            type_agg.data - np.maximum(naive.grouped_attention(k, q, k, rels, n_rel, a2), 0)
-        ).max() <= tol
-
-        width = int(rng.integers(3, 6))
-        t_repr = rng.normal(size=(m, width))
-        w_proj = rng.normal(size=(width, d))
-        a_ent = rng.normal(size=(2 * d, 1))
-        proj = t_repr @ w_proj
-        for entity_ids in (heads, tails):
-            got = enhancer.attention_enhance(
-                xt, ad.Tensor(t_repr), entity_ids, n, ad.Tensor(w_proj), ad.Tensor(a_ent)
-            ).data
-            agg = naive.grouped_attention(proj, x[entity_ids], proj, entity_ids, n, a_ent)
-            assert np.abs(got - (x + np.maximum(agg, 0.0))).max() <= tol
-
-        src, dst = kg.neighbor_edges(trips)
-        a_nbr = rng.normal(size=(2 * d, 1))
-        got = enhancer.neighbor_reaggregate(xt, src, dst, n, ad.Tensor(a_nbr)).data
-        agg = np.maximum(naive.grouped_attention(x[src], x[dst], x[dst], src, n, a_nbr), 0.0)
-        assert np.abs(got - np.concatenate([x, agg], axis=1)).max() <= tol
-    announce(2, "oracle equivalence on randomized instances")
+    results = selfcheck.run_oracle_checks(trials=6, seed=2024)
+    failures = [r for r in results if not r.passed]
+    assert not failures, failures
+    assert len(results) == 12
+    announce(2, f"oracle equivalence ({len(results)} oracles, 6 randomized instances)")
 
 
 # ---------------------------------------------------------------------- 3

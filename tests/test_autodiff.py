@@ -7,8 +7,7 @@ import pytest
 from kgalign import autodiff as ad
 from kgalign import training
 from kgalign.training import TrainConfig
-
-import naive_oracles as naive
+from kgalign import oracles as naive
 
 
 def grad_of(fn, *tensors):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
-from kgalign import cli, selfcheck
+from kgalign import cli, kg
+from kgalign import oracles as naive
 from kgalign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 
 
@@ -59,7 +60,6 @@ def test_gen_synth_full_drop_is_data_error(tmp_path, capsys):
 
 
 def test_gen_synth_output_round_trips(dataset):
-    from kgalign import kg
     task = kg.load_dbp15k(dataset)
     assert task.g1.num_entities == 80
 
@@ -178,7 +178,6 @@ def test_eval_rank_dump_row_count(run_dir, dataset, tmp_path):
     ranks = tmp_path / "ranks.tsv"
     assert run_cli("eval", "--model", str(run_dir), "--data", str(dataset),
                    "--ranks-out", str(ranks)) == EXIT_OK
-    from kgalign import kg
     task = kg.load_dbp15k(dataset)
     assert len(ranks.read_text().splitlines()) == len(task.seeds_test)
 
@@ -296,32 +295,48 @@ def test_check_passes_clean_build(capsys):
 
 
 def test_check_detects_injected_backward_sign_flip(monkeypatch, capsys):
-    real_tanh = ad.tanh
+    # deliberately wrong tanh gradients: sign flipped, then NaN
+    for broken_grad in (lambda g, out: -g * (1.0 - out * out),
+                        lambda g, out: np.full_like(g, np.nan)):
+        def broken_tanh(a, broken_grad=broken_grad):
+            a = ad.as_tensor(a)
+            out = np.tanh(a.data)
+            return ad._record(out, (a,), lambda g: (broken_grad(g, out),))
 
-    def broken_tanh(a):
-        a = ad.as_tensor(a)
-        out = np.tanh(a.data)
-        # deliberately wrong: gradient sign flipped
-        return ad._record(out, (a,), lambda g: (-g * (1.0 - out * out),))
+        monkeypatch.setattr(ad, "tanh", broken_tanh)
+        assert run_cli("check", "--trials", "1") == EXIT_NUMERIC
+        assert "grad/tanh\tFAIL" in capsys.readouterr().out
 
-    monkeypatch.setattr(ad, "tanh", broken_tanh)
-    results = selfcheck.run_fd_checks(trials=2)
-    monkeypatch.setattr(ad, "tanh", real_tanh)
-    by_name = {r.name: r for r in results}
-    assert not by_name["grad/tanh"].passed
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_rejects_fewer_than_one_trial(capsys, trials):
+    assert run_cli("check", "--trials", trials) == EXIT_USAGE
+    assert "usage error: --trials must be at least 1" in capsys.readouterr().err
 
 
 def test_check_random_graph_mentions_every_entity():
     # seed 177 draws no triple for entity 3; linking it in must not isolate
     # another entity, or `check` stops with a data error
-    from kgalign import kg
-    _, trips = selfcheck._random_graph_tensors(np.random.default_rng(177), n=5, m=8, n_rel=2)
+    trips = naive.random_connected_triples(np.random.default_rng(177), 5, 8, 2)
     kg.KnowledgeGraph(5, 2, trips)
 
 
 def test_usage_error_exit_code(capsys):
     assert run_cli("train", "--epochs", "1") == EXIT_USAGE  # --data missing
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--gcn-depth", "0"], "gcn_depth must be at least 1"),
+    (["train", "--lr", "-1"], "lr must be positive and finite"),
+    (["train", "--eval-every", "-1"], "eval_every must be non-negative"),
+    (["train", "--neg-k", "80"], "neg_k=80 must be below the entity count of each graph"),
+    (["ablate", "--cycle-modes", "x"], "--cycle-modes and --depths take integers"),
+], ids=["gcn-depth", "lr", "eval-every", "neg-k", "cycle-modes"])
+def test_bad_setting_is_usage_error(dataset, tmp_path, capsys, argv, message):
+    out = ["--out", str(tmp_path / "r")] if argv[0] == "train" else []
+    assert run_cli(*argv, "--data", str(dataset), *out) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
 
 
 def _poison_first_embedding(dataset, tmp_path, value):

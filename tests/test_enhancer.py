@@ -3,8 +3,7 @@ import pytest
 
 from kgalign import autodiff as ad
 from kgalign import enhancer, kg
-
-import naive_oracles as naive
+from kgalign import oracles as naive
 
 
 def make_instance(rng, n=10, m=20, n_rel=3, d_e=4, width=5):

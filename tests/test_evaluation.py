@@ -3,8 +3,7 @@ import pytest
 
 from kgalign import evaluation, kg
 from kgalign.evaluation import EvalReport, evaluate, rank_pairs
-
-import naive_oracles as naive
+from kgalign import oracles as naive
 
 
 def make_eval_task(rng, n=30, emb_dim=6):

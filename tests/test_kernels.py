@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kgalign import kernels
-
-import naive_oracles as naive
+from kgalign import oracles as naive
 
 
 def test_segment_sum_matches_naive_loop(rng):

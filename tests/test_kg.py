@@ -1,8 +1,11 @@
+import os
+import re
+import shutil
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgalign import kg
@@ -173,6 +176,49 @@ def test_loader_errors(tmp_path, small_task):
     triples_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="unknown entity"):
         kg.load_dbp15k(out)
+
+    # drop every triple that mentions entity 0
+    triples_path.write_text("".join(line + "\n" for line in lines[:3] + lines[4:]
+                                    if "0" not in line.split("\t")[::2]))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(triples_path))}: 1 isolated"):
+        kg.load_dbp15k(out)
+
+
+@pytest.fixture(scope="module")
+def saved_task(tmp_path_factory, small_task):
+    out = tmp_path_factory.mktemp("saved") / "ds"
+    kg.save_dbp15k(small_task, out)
+    return out
+
+
+LINE_MUTATIONS = {
+    "drop-field": lambda line: line.rsplit(b"\t", 1)[0],
+    "extra-field": lambda line: line + b"\t7",
+    "non-integer-id": lambda line: b"x" + line,
+    "non-utf8": lambda line: line + b"\xff",
+    "duplicate-line": lambda line: line + b"\n" + line,
+    "unknown-entity": lambda line: b"999999" + line[line.index(b"\t"):],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(kg._CORE_FILES + kg._EMB_FILES),
+       mutation=st.sampled_from(sorted(LINE_MUTATIONS)), pick=st.integers(0, 10**6))
+def test_loader_names_file_and_line_of_a_malformed_line(saved_task, name, mutation, pick):
+    # an entity-id file declares ids, so no id in it can be unknown
+    assume(not (name.startswith("ent_ids") and mutation == "unknown-entity"))
+    with tempfile.TemporaryDirectory() as directory:
+        shutil.copytree(saved_task, directory, dirs_exist_ok=True)
+        path = os.path.join(directory, name)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        row = pick % len(lines)
+        lines[row] = LINE_MUTATIONS[mutation](lines[row])
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        lineno = row + (2 if mutation == "duplicate-line" else 1)
+        with pytest.raises(DataError, match=rf"^{re.escape(path)}:{lineno}: "):
+            kg.load_dbp15k(directory)
 
 
 def test_graph_stats_reads_core_files_only(tmp_path, small_task):

@@ -3,8 +3,7 @@ import pytest
 
 from kgalign import autodiff as ad
 from kgalign import kg, structure
-
-import naive_oracles as naive
+from kgalign import oracles as naive
 
 
 def line_graph(n=2):

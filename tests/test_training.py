@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from kgalign import autodiff as ad
 from kgalign import evaluation, kernels, kg, training
 from kgalign.training import TrainConfig
-
-import naive_oracles as naive
+from kgalign import oracles as naive
 
 
 # --------------------------------------------------------------- distances
@@ -217,6 +217,10 @@ def test_config_validation():
         TrainConfig(variant="bogus")
     with pytest.raises(ValueError):
         TrainConfig(train_ratio=1.5)
+    for bad in ({"gcn_depth": 0}, {"lr": -1.0}, {"lr": float("nan")}, {"eval_every": -1},
+                {"margin": float("inf")}, {"d_r": -1}, {"rng_seed": -1}):
+        with pytest.raises(training.ConfigError, match=f"^{next(iter(bad))}"):
+            TrainConfig(**bad)
 
 
 def test_zero_epochs_returns_init(small_task):
@@ -344,6 +348,20 @@ def test_checkpoint_round_trip(tmp_path, small_task):
     assert set(loaded) == set(result.params)
     for key in loaded:
         np.testing.assert_array_equal(loaded[key].data, result.params[key].data)
+
+
+@pytest.mark.parametrize("arrays, cut, message", [
+    ({"__format__": np.array(1), "w": np.ones(64)}, True, "not a readable checkpoint"),
+    ({"w": np.ones(2)}, False, "no __format__ entry"),
+    ({"__format__": np.array(99)}, False, "unsupported checkpoint format 99"),
+], ids=["cut-in-half", "no-format", "format-99"])
+def test_load_checkpoint_rejects_damaged_or_foreign_file(tmp_path, arrays, cut, message):
+    path = tmp_path / "ckpt.npz"
+    np.savez(path, **arrays)
+    if cut:
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    with pytest.raises(kg.DataError, match=f"^{re.escape(str(path))}: {message}"):
+        training.load_checkpoint(path)
 
 
 def _count_forward_calls(monkeypatch):

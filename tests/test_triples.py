@@ -3,8 +3,7 @@ import pytest
 
 from kgalign import autodiff as ad
 from kgalign import triples
-
-import naive_oracles as naive
+from kgalign import oracles as naive
 
 
 def make_instance(rng, n=12, m=30, n_rel=4, d_e=5):
@@ -102,20 +101,6 @@ def test_attention_duplicated_identical_triples(rng):
         ad.Tensor(q[:1]), ad.Tensor(k[:1]), ad.Tensor(q[:1]), [0], 1, ad.Tensor(a)
     ).data
     np.testing.assert_allclose(dup, single, atol=1e-12)
-
-
-def test_attention_matches_naive_loop(rng):
-    m, d = 25, 4
-    rels = np.concatenate([np.arange(5), rng.integers(0, 5, size=m - 5)])
-    q = rng.normal(size=(m, d))
-    k = rng.normal(size=(m, d))
-    v = rng.normal(size=(m, d))
-    a = rng.normal(size=(2 * d, 1))
-    got = triples.role_aware_attention(
-        ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), rels, 5, ad.Tensor(a)
-    ).data
-    want = naive.leaky(naive.grouped_attention(q, k, v, rels, 5, a))
-    np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_attention_weights_sum_to_one(rng):
@@ -255,22 +240,6 @@ def test_mutual_attention_singleton_relations(rng):
     )
     np.testing.assert_allclose(sem_agg.data, np.maximum(sem, 0.0), atol=1e-12)
     np.testing.assert_allclose(type_agg.data, np.maximum(typ, 0.0), atol=1e-12)
-
-
-def test_mutual_attention_matches_naive(rng):
-    m, d = 16, 3
-    rels = np.concatenate([np.arange(4), rng.integers(0, 4, size=m - 4)])
-    sem = rng.normal(size=(m, d))
-    typ = rng.normal(size=(m, d))
-    a1 = rng.normal(size=(2 * d, 1))
-    a2 = rng.normal(size=(2 * d, 1))
-    sem_agg, type_agg = triples.mutual_attention(
-        ad.Tensor(sem), ad.Tensor(typ), rels, 4, ad.Tensor(a1), ad.Tensor(a2)
-    )
-    want_fwd = np.maximum(naive.grouped_attention(sem, typ, sem, rels, 4, a1), 0.0)
-    want_rev = np.maximum(naive.grouped_attention(typ, sem, typ, rels, 4, a2), 0.0)
-    np.testing.assert_allclose(sem_agg.data, want_fwd, atol=1e-10)
-    np.testing.assert_allclose(type_agg.data, want_rev, atol=1e-10)
 
 
 # -------------------------------------------------------------------- fusion
