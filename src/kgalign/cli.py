@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -81,9 +80,14 @@ def load_config_file(path):
         if key not in _CONFIG_FIELDS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            overrides[key] = _coerce(key, raw.strip())
+            value = _coerce(key, raw.strip())
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad value for {key}") from None
+        try:
+            TrainConfig(**{key: value})  # every TrainConfig check reads one field
+        except ConfigError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        overrides[key] = value
     return overrides
 
 
@@ -92,19 +96,10 @@ def resolve_config(args):
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_config_file(args.config))
-    flag_map = {
-        "variant": "variant", "cycle_mode": "cycle_mode", "epochs": "epochs",
-        "seed": "rng_seed", "margin": "margin", "neg_k": "neg_k",
-        "neg_refresh": "neg_refresh_epochs", "lr": "lr", "d_r": "d_r",
-        "d_t": "d_t", "gcn_depth": "gcn_depth", "train_ratio": "train_ratio",
-        "eval_every": "eval_every",
-    }
-    for flag, field in flag_map.items():
-        value = getattr(args, flag, None)
+    for field in _CONFIG_FIELDS:
+        value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
-    if getattr(args, "semi", False):
-        overrides["semi"] = True
     return TrainConfig(**overrides)
 
 
@@ -151,6 +146,7 @@ def cmd_train(args):
     started = time.perf_counter()
     cfg = resolve_config(args)
     task = kg.load_dbp15k(args.data, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
+    training.check_task(task, cfg)  # before the run directory exists
     os.makedirs(args.out, exist_ok=True)
     loss_log = os.path.join(args.out, "loss_log.tsv")
 
@@ -234,21 +230,25 @@ def cmd_ablate(args):
     if not variants or not modes or not depths:
         raise _UsageError("ablation grid is empty")
 
-    # the settings every cell shares are checked once, before any training
-    base = TrainConfig(epochs=args.epochs, rng_seed=args.seed, d_r=args.d_r,
-                       d_t=args.d_t, train_ratio=args.train_ratio)
-    task = kg.load_dbp15k(args.data, train_ratio=base.train_ratio, seed=base.rng_seed)
-    rows = []
-    for variant, mode, depth in itertools.product(variants, modes, depths):
-        label = f"{variant}/mode{mode}/l={depth}"
+    # every cell's settings are checked before any training
+    cells = [
+        (f"{variant}/mode{mode}/l={depth}",
+         TrainConfig(epochs=args.epochs, rng_seed=args.seed, d_r=args.d_r, d_t=args.d_t,
+                     train_ratio=args.train_ratio, variant=variant, cycle_mode=mode,
+                     gcn_depth=depth))
+        for variant, mode, depth in itertools.product(variants, modes, depths)
+    ]
+    task = kg.load_dbp15k(args.data, train_ratio=args.train_ratio, seed=args.seed)
+    rows, failed = [], False
+    for label, cfg in cells:
         try:
-            cfg = dataclasses.replace(base, variant=variant, cycle_mode=mode, gcn_depth=depth)
             result = training.fit(task, cfg)
             report = evaluation.evaluate(task, result.final_emb1, result.final_emb2)
             rows.append((label, f"{report.hits_at[1]:.4f}",
                          f"{report.hits_at[10]:.4f}", f"{report.mrr:.4f}"))
-        except Exception as exc:  # record the cell failure, keep sweeping
+        except NumericalError as exc:  # record the cell failure, keep sweeping
             rows.append((label, "ERROR", "ERROR", str(exc)))
+            failed = True
 
     header = ("setting", "H@1", "H@10", "MRR")
     lines = ["\t".join(header)] + ["\t".join(r) for r in rows]
@@ -257,7 +257,7 @@ def cmd_ablate(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
-    return EXIT_OK
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def cmd_check(args):
@@ -294,14 +294,15 @@ def build_parser():
     p = sub.add_parser("train", help="train an alignment model")
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="flat `key = value` config file")
+    # each dest is the TrainConfig field the flag overrides
     p.add_argument("--variant", choices=list(training.VARIANTS))
     p.add_argument("--cycle-mode", dest="cycle_mode", type=int, choices=(1, 2, 3))
-    p.add_argument("--semi", action="store_true")
+    p.add_argument("--semi", action="store_const", const=True)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="rng_seed", type=int)
     p.add_argument("--margin", type=float)
     p.add_argument("--neg-k", dest="neg_k", type=int)
-    p.add_argument("--neg-refresh", dest="neg_refresh", type=int)
+    p.add_argument("--neg-refresh", dest="neg_refresh_epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--d-r", dest="d_r", type=int)
     p.add_argument("--d-t", dest="d_t", type=int)

@@ -35,20 +35,14 @@ class TrainConfig:
     neg_refresh_epochs: int = 5
     epochs: int = 50
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     cycle_mode: int = 2
     variant: str = "full"
     semi: bool = False
     rng_seed: int = 0
-    d_e: int = None  # resolved from the task's embedding width
     d_r: int = 100
     d_t: int = 100
     gcn_depth: int = 2
     train_ratio: float = 0.30
-    leaky_slope: float = 0.3
-    neg_sample_all: bool = True
     eval_every: int = 0
 
     def __post_init__(self):
@@ -196,22 +190,28 @@ def forward(task, params, cfg):
         x = structure.encode_structure(
             params[emb_key], graph.adjacency_norm, params, cfg.gcn_depth
         )
-        encoding = triples.encode_triples(
-            x, graph.base.triples, graph.base.num_relations, params,
-            variant=cfg.variant, slope=cfg.leaky_slope,
+        triple_repr = triples.encode_triples(
+            x, graph.base.triples, graph.base.num_relations, params, variant=cfg.variant
         )
         final = enhancer.enhance_entities(
-            x, encoding.triple_repr, graph, params, mode=cfg.cycle_mode,
-            slope=cfg.leaky_slope, skip_cycle=(cfg.variant == "wo-C"),
+            x, triple_repr, graph, params, mode=cfg.cycle_mode,
+            skip_cycle=(cfg.variant == "wo-C"),
         )
         outputs.append(final)
     return outputs[0], outputs[1]
 
 
+def check_task(task, cfg):
+    """Raise ``ConfigError`` for a setting this task cannot train with."""
+    n1, n2 = task.g1.num_entities, task.g2.num_entities
+    if cfg.neg_k >= min(n1, n2):
+        # each side's negatives are other entities of the same graph
+        raise ConfigError(f"neg_k={cfg.neg_k} must be below the entity count of "
+                          f"each graph ({n1} and {n2})")
+
+
 def init_params(task, cfg, rng):
-    d_e = task.emb_dim if cfg.d_e is None else cfg.d_e
-    if d_e != task.emb_dim:
-        raise ConfigError(f"d_e={d_e} but the embeddings have width {task.emb_dim}")
+    d_e = task.emb_dim
     params = {
         "emb1": ad.Tensor(task.init_emb1.copy(), requires_grad=True),
         "emb2": ad.Tensor(task.init_emb2.copy(), requires_grad=True),
@@ -239,25 +239,19 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     """Train on the task's seed pairs; deterministic for a fixed config seed."""
     from .evaluation import evaluate
 
-    n1, n2 = task.g1.num_entities, task.g2.num_entities
-    if cfg.neg_k >= min(n1, n2):
-        # each side's negatives are other entities of the same graph
-        raise ConfigError(f"neg_k={cfg.neg_k} must be below the entity count of "
-                          f"each graph ({n1} and {n2})")
-    rng = np.random.default_rng(cfg.rng_seed)
-    params = init_params(task, cfg, rng)
+    check_task(task, cfg)
+    params = init_params(task, cfg, np.random.default_rng(cfg.rng_seed))
     order = sorted(params)
     state = ad.AdamState()
     train_pairs = task.seeds_train.copy()
     history = []
-    final = tape = None
+    # one forward pass per parameter state: each epoch's loss, negatives and
+    # seed proposals read the pass taped after the previous step, which also
+    # feeds that step's evaluation; the pass after the last step is untaped
+    # and is the output
+    with ad.Tape() as tape:
+        f1, f2 = forward(task, params, cfg)
     for epoch in range(cfg.epochs):
-        # one forward pass per parameter state: the search side reads the
-        # taped pass's values before the loss is recorded, and an evaluation
-        # pass taped after the previous step stands in for this epoch's
-        if tape is None:
-            with ad.Tape() as tape:
-                f1, f2 = forward(task, params, cfg)
         with tape:
             if epoch % cfg.neg_refresh_epochs == 0:
                 if cfg.semi and epoch > 0:
@@ -270,13 +264,7 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
                 cache = refresh_negatives(
                     f1.data, f2.data, train_pairs, cfg.neg_k, epoch
                 )
-            use1, use2 = cache.side1, cache.side2
-            if not cfg.neg_sample_all:
-                pick1 = rng.integers(0, cfg.neg_k, size=(len(train_pairs), 1))
-                pick2 = rng.integers(0, cfg.neg_k, size=(len(train_pairs), 1))
-                use1 = np.take_along_axis(cache.side1, pick1, axis=1)
-                use2 = np.take_along_axis(cache.side2, pick2, axis=1)
-            loss = alignment_loss(f1, f2, train_pairs, use1, use2, cfg.margin)
+            loss = alignment_loss(f1, f2, train_pairs, cache.side1, cache.side2, cfg.margin)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
@@ -284,28 +272,22 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         grads = [params[k].grad for k in order]
         _check_finite_params("gradient", epoch, order, grads)
         values = [params[k].data for k in order]
-        ad.adam_step(
-            values, grads, state,
-            lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
-        )
+        ad.adam_step(values, grads, state, lr=cfg.lr)
         _check_finite_params("value", epoch, order, values)
         ad.zero_grads(params.values())
 
+        if epoch + 1 < cfg.epochs:
+            with ad.Tape() as tape:
+                f1, f2 = forward(task, params, cfg)
+        else:
+            f1, f2 = forward(task, params, cfg)
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}
-        final = tape = None
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            if epoch + 1 < cfg.epochs:
-                with ad.Tape() as tape:
-                    f1, f2 = final = forward(task, params, cfg)
-            else:
-                final = forward(task, params, cfg)
-            report = evaluate(task, final[0].data, final[1].data)
-            record["hits1"] = report.hits_at[1]
+            record["hits1"] = evaluate(task, f1.data, f2.data).hits_at[1]
         history.append(record)
         if log is not None:
             log(record)
 
-    f1, f2 = final if final is not None else forward(task, params, cfg)
     return FitResult(params, f1.data, f2.data, history, train_pairs)
 
 

@@ -8,8 +8,6 @@ over each other within each relation group, and the fused result is the
 triple representation consumed downstream.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -37,17 +35,12 @@ def init_triple_params(rng, d_e, d_r, d_t):
     return params
 
 
-def _relation_counts(rel_ids, num_relations, opname):
+def global_relation(x, heads, tails, rel_ids, num_relations):
+    """Mean of (head ‖ tail) embedding pairs over each relation's triples."""
     counts = np.bincount(rel_ids, minlength=num_relations)
     if (counts == 0).any():
         empty = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"{opname}: relation {empty} has no triples")
-    return counts
-
-
-def global_relation(x, heads, tails, rel_ids, num_relations):
-    """Mean of (head ‖ tail) embedding pairs over each relation's triples."""
-    counts = _relation_counts(rel_ids, num_relations, "global_relation")
+        raise ValueError(f"global_relation: relation {empty} has no triples")
     pair = ad.concat(ad.take_rows(x, heads), ad.take_rows(x, tails))
     total = ad.segment_sum(pair, rel_ids, num_relations)
     return total * (1.0 / counts)[:, None]
@@ -66,21 +59,20 @@ def triple_specificity(x, heads, tails, local_w):
     return ad.concat(ad.concat(x_h, projected), x_t), local
 
 
-def role_aware_attention(query, key, value, group_ids, num_groups, attn_vec, slope=0.3):
-    """Aggregate per-triple values into per-group vectors via softmax attention.
+def grouped_attention(query, key, value, ids, num_groups, attn_vec):
+    """Softmax-within-group aggregation of ``value`` rows, GAT style.
 
-    Logits come from the (query ‖ key) concatenation mapped to a scalar;
-    weights are normalized within each group.
+    Logits are ``leaky_relu((query ‖ key) @ attn_vec)``, normalized within
+    each group of ``ids``; a group with no rows gets a zero aggregate. No
+    outer activation is applied: each caller applies its own. Mirrors
+    ``oracles.grouped_attention``.
     """
-    _relation_counts(group_ids, num_groups, "role_aware_attention")
     logits = ad.reshape(ad.matmul(ad.concat(query, key), attn_vec), (-1,))
-    weights = ad.segment_softmax(ad.leaky_relu(logits, slope), group_ids)
-    weighted = ad.reshape(weights, (-1, 1)) * value
-    return ad.leaky_relu(ad.segment_sum(weighted, group_ids, num_groups), slope)
+    weights = ad.segment_softmax(ad.leaky_relu(logits), ids)
+    return ad.segment_sum(ad.reshape(weights, (-1, 1)) * value, ids, num_groups)
 
 
-def semantic_triple(x, heads, rels, tails, num_relations, params, slope=0.3,
-                    with_attention=True):
+def semantic_triple(x, heads, rels, tails, num_relations, params, with_attention=True):
     """Per-triple semantic representation: attention aggregates + specificity.
 
     With ``with_attention`` off, only the projected specificity survives.
@@ -90,27 +82,20 @@ def semantic_triple(x, heads, rels, tails, num_relations, params, slope=0.3,
     if not with_attention:
         return key
 
+    def role_aware(query, attn_vec):
+        agg = grouped_attention(query, key, query, rels, num_relations, attn_vec)
+        return ad.take_rows(ad.leaky_relu(agg), rels)
+
     rel_global = global_relation(x, heads, tails, rels, num_relations)
     q_head = ad.matmul(ad.take_rows(x, heads), params["triple.head_w"])
-    head_agg = role_aware_attention(
-        q_head, key, q_head, rels, num_relations, params["triple.head_a"], slope
-    )
+    head_agg = role_aware(q_head, params["triple.head_a"])
     q_tail = ad.matmul(ad.take_rows(x, tails), params["triple.tail_w"])
-    tail_agg = role_aware_attention(
-        q_tail, key, q_tail, rels, num_relations, params["triple.tail_a"], slope
-    )
+    tail_agg = role_aware(q_tail, params["triple.tail_a"])
     q_rel = ad.matmul(ad.take_rows(rel_global, rels), params["triple.global_w"]) + ad.matmul(
         local, params["triple.local_w"]
     )
-    rel_agg = role_aware_attention(
-        q_rel, key, q_rel, rels, num_relations, params["triple.rel_a"], slope
-    )
-    return (
-        ad.take_rows(head_agg, rels)
-        + ad.take_rows(tail_agg, rels)
-        + ad.take_rows(rel_agg, rels)
-        + key
-    )
+    rel_agg = role_aware(q_rel, params["triple.rel_a"])
+    return head_agg + tail_agg + rel_agg + key
 
 
 def type_projection(x, type_w, type_b):
@@ -134,26 +119,15 @@ def type_triple(x_type, heads, rels, tails, num_relations, type_rel_w):
     return rel_type_global, ad.concat(ad.concat(xt_h, projected), xt_t)
 
 
-def mutual_attention(sem, type_proj, rel_ids, num_relations, fwd_a, rev_a, slope=0.3):
+def mutual_attention(sem, type_proj, rel_ids, num_relations, fwd_a, rev_a):
     """Cross-view attention between semantic and type triples per relation.
 
     The forward direction scores (semantic ‖ type) and aggregates semantic
     values; the reverse direction swaps the roles and aggregates type values.
     """
-    _relation_counts(rel_ids, num_relations, "mutual_attention")
-
-    logits_fwd = ad.reshape(ad.matmul(ad.concat(sem, type_proj), fwd_a), (-1,))
-    w_fwd = ad.segment_softmax(ad.leaky_relu(logits_fwd, slope), rel_ids)
-    sem_agg = ad.relu(
-        ad.segment_sum(ad.reshape(w_fwd, (-1, 1)) * sem, rel_ids, num_relations)
-    )
-
-    logits_rev = ad.reshape(ad.matmul(ad.concat(type_proj, sem), rev_a), (-1,))
-    w_rev = ad.segment_softmax(ad.leaky_relu(logits_rev, slope), rel_ids)
-    type_agg = ad.relu(
-        ad.segment_sum(ad.reshape(w_rev, (-1, 1)) * type_proj, rel_ids, num_relations)
-    )
-    return sem_agg, type_agg
+    sem_agg = grouped_attention(sem, type_proj, sem, rel_ids, num_relations, fwd_a)
+    type_agg = grouped_attention(type_proj, sem, type_proj, rel_ids, num_relations, rev_a)
+    return ad.relu(sem_agg), ad.relu(type_agg)
 
 
 def fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rel_ids):
@@ -167,33 +141,27 @@ def fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rel_i
     return ad.concat(fused, ad.take_rows(rel_type_global, rel_ids))
 
 
-@dataclass
-class TripleEncoding:
-    triple_repr: ad.Tensor  # (num_triples, width)
-    semantic: ad.Tensor  # (num_triples, d_r)
-    width: int
-
-
 def triple_width(variant, d_r, d_t):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     return d_r if variant == "wo-T" else d_r + 2 * d_t
 
 
-def encode_triples(x, triples, num_relations, params, variant="full", slope=0.3):
-    """Full triple-encoding pass for one graph; variant selects ablations."""
+def encode_triples(x, triples, num_relations, params, variant="full"):
+    """Full triple-encoding pass for one graph; variant selects ablations.
+
+    Returns the per-triple representations, ``triple_width(variant, d_r,
+    d_t)`` columns wide.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-    d_r = params["triple.key_w"].data.shape[1]
-    d_t = params["triple.type_w"].data.shape[1]
 
     sem = semantic_triple(
-        x, heads, rels, tails, num_relations, params, slope,
-        with_attention=(variant != "wo-E"),
+        x, heads, rels, tails, num_relations, params, with_attention=(variant != "wo-E")
     )
     if variant == "wo-T":
-        return TripleEncoding(sem, sem, d_r)
+        return sem
 
     x_type = type_projection(x, params["triple.type_w"], params["triple.type_b"])
     rel_type_global, type_spec = type_triple(
@@ -202,7 +170,6 @@ def encode_triples(x, triples, num_relations, params, variant="full", slope=0.3)
     type_proj = ad.matmul(type_spec, params["triple.type_key_w"])
     sem_agg, type_agg = mutual_attention(
         sem, type_proj, rels, num_relations,
-        params["triple.mutual_fwd_a"], params["triple.mutual_rev_a"], slope,
+        params["triple.mutual_fwd_a"], params["triple.mutual_rev_a"],
     )
-    fused = fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rels)
-    return TripleEncoding(fused, sem, d_r + 2 * d_t)
+    return fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rels)

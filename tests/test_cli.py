@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
-from kgalign import cli, kg
+from kgalign import cli, kg, training
 from kgalign import oracles as naive
 from kgalign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
+from kgalign.training import TrainConfig
 
 
 def run_cli(*argv):
@@ -145,7 +146,7 @@ def test_config_file_unknown_key(dataset, tmp_path, capsys):
     assert code == EXIT_DATA
 
 
-@pytest.mark.parametrize("line", ["semi = ture", "neg_sample_all = flase", "semi = 2"])
+@pytest.mark.parametrize("line", ["semi = ture", "semi = flase", "semi = 2"])
 def test_config_file_bad_boolean_is_data_error(tmp_path, line):
     config = tmp_path / "bad.cfg"
     config.write_text(f"epochs = 3\n{line}\n")
@@ -156,10 +157,30 @@ def test_config_file_bad_boolean_is_data_error(tmp_path, line):
 
 def test_config_file_boolean_spellings(tmp_path):
     config = tmp_path / "ok.cfg"
-    config.write_text("semi = YES\nneg_sample_all = Off\n")
-    assert cli.load_config_file(config) == {"semi": True, "neg_sample_all": False}
-    config.write_text("semi = 0\nneg_sample_all = True\n")
-    assert cli.load_config_file(config) == {"semi": False, "neg_sample_all": True}
+    for spelling, value in (("YES", True), ("On", True), ("0", False), ("Off", False)):
+        config.write_text(f"semi = {spelling}\n")
+        assert cli.load_config_file(config) == {"semi": value}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("margin = -1", "margin must be positive and finite"),
+    ("cycle_mode = 4", "cycle_mode must be 1, 2, or 3"),
+    ("variant = nope", "variant must be one of"),
+])
+def test_config_file_rejected_value_is_data_error(dataset, tmp_path, capsys, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"epochs = 3\n{line}\n")
+    out = tmp_path / "r"
+    code = run_cli("train", "--data", str(dataset), "--config", str(config), "--out", str(out))
+    assert code == EXIT_DATA
+    assert f"data error: {config}:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_flags_are_config_fields():
+    train = cli.build_parser()._subparsers._group_actions[0].choices["train"]
+    dests = {action.dest for action in train._actions} - {"help", "data", "config", "out"}
+    assert dests == set(TrainConfig.__annotations__)
 
 
 # --------------------------------------------------------------------- eval
@@ -280,6 +301,33 @@ def test_ablate_empty_grid_is_usage_error(dataset, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cycle-modes", "2,4", "cycle_mode must be 1, 2, or 3"),
+    ("--variants", "full,nope", "variant must be one of"),
+    ("--depths", "2,0", "gcn_depth must be at least 1"),
+])
+def test_ablate_bad_cell_is_usage_error_before_training(dataset, monkeypatch, capsys,
+                                                         flag, value, message):
+    fits = []
+    monkeypatch.setattr(training, "fit", lambda *args, **kwargs: fits.append(args))
+    code = run_cli("ablate", "--data", str(dataset), flag, value, "--epochs", "1")
+    assert code == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert fits == []
+
+
+def test_ablate_diverging_cells_exit_numeric_after_table(dataset, tmp_path, capsys):
+    bad = _poison_first_embedding(dataset, tmp_path, "1e308")
+    with np.errstate(invalid="ignore", over="ignore"):
+        code = run_cli("ablate", "--data", str(bad), "--variants", "full,wo-T",
+                       "--epochs", "1")
+    assert code == EXIT_NUMERIC
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "setting\tH@1\tH@10\tMRR"
+    assert len(rows) == 3
+    assert all(row.split("\t")[1] == "ERROR" for row in rows[1:])
+
+
 # -------------------------------------------------------------------- check
 
 
@@ -337,6 +385,7 @@ def test_bad_setting_is_usage_error(dataset, tmp_path, capsys, argv, message):
     out = ["--out", str(tmp_path / "r")] if argv[0] == "train" else []
     assert run_cli(*argv, "--data", str(dataset), *out) == EXIT_USAGE
     assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def _poison_first_embedding(dataset, tmp_path, value):

@@ -84,20 +84,20 @@ def test_attention_singleton_group(rng):
     q = rng.normal(size=(1, 4))
     k = rng.normal(size=(1, 4))
     a = rng.normal(size=(8, 1))
-    out = triples.role_aware_attention(
+    out = triples.grouped_attention(
         ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), [0], 1, ad.Tensor(a)
     ).data
-    np.testing.assert_allclose(out, naive.leaky(q), atol=1e-12)
+    np.testing.assert_allclose(out, q, atol=1e-12)
 
 
 def test_attention_duplicated_identical_triples(rng):
     q = np.tile(rng.normal(size=(1, 4)), (5, 1))
     k = np.tile(rng.normal(size=(1, 4)), (5, 1))
     a = rng.normal(size=(8, 1))
-    dup = triples.role_aware_attention(
+    dup = triples.grouped_attention(
         ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), [0] * 5, 1, ad.Tensor(a)
     ).data
-    single = triples.role_aware_attention(
+    single = triples.grouped_attention(
         ad.Tensor(q[:1]), ad.Tensor(k[:1]), ad.Tensor(q[:1]), [0], 1, ad.Tensor(a)
     ).data
     np.testing.assert_allclose(dup, single, atol=1e-12)
@@ -113,13 +113,21 @@ def test_attention_weights_sum_to_one(rng):
     np.testing.assert_allclose(sums[np.unique(rels)], 1.0, atol=1e-9)
 
 
-def test_attention_empty_group_errors(rng):
+def test_attention_empty_group_is_zero_row(rng):
     q = rng.normal(size=(2, 3))
     a = rng.normal(size=(6, 1))
-    with pytest.raises(ValueError):
-        triples.role_aware_attention(
-            ad.Tensor(q), ad.Tensor(q), ad.Tensor(q), [0, 0], 2, ad.Tensor(a)
-        )
+    out = triples.grouped_attention(
+        ad.Tensor(q), ad.Tensor(q), ad.Tensor(q), [0, 0], 2, ad.Tensor(a)
+    ).data
+    np.testing.assert_array_equal(out[1], np.zeros(3))
+
+
+def test_encode_empty_relation_errors(rng):
+    x, trips = make_instance(rng, n_rel=2)
+    params = triples.init_triple_params(np.random.default_rng(0), 5, 3, 2)
+    for variant in triples.VARIANTS:
+        with pytest.raises(ValueError, match="relation 2 has no triples"):
+            triples.encode_triples(ad.Tensor(x), trips, 3, params, variant=variant)
 
 
 # ---------------------------------------------------------- semantic fusion
@@ -262,9 +270,9 @@ def test_encode_widths(rng):
     params = triples.init_triple_params(np.random.default_rng(0), 5, 3, 2)
     for variant, width in (("full", 3 + 4), ("wo-E", 3 + 4), ("wo-T", 3)):
         enc = triples.encode_triples(ad.Tensor(x), trips, n_rel, params, variant=variant)
-        assert enc.width == width
-        assert enc.triple_repr.data.shape == (len(trips), width)
-        assert np.isfinite(enc.triple_repr.data).all()
+        assert triples.triple_width(variant, 3, 2) == width
+        assert enc.data.shape == (len(trips), width)
+        assert np.isfinite(enc.data).all()
 
 
 def test_encode_rejects_unknown_variant(rng):
@@ -285,12 +293,8 @@ def test_duplicating_uniform_relation_triples_changes_nothing(rng):
     enc_base = triples.encode_triples(ad.Tensor(x), base, 2, params)
     enc_dup = triples.encode_triples(ad.Tensor(x), dup, 2, params)
     # compare the representation of one relation-0 triple and one relation-1 triple
-    np.testing.assert_allclose(
-        enc_base.triple_repr.data[0], enc_dup.triple_repr.data[0], atol=1e-10
-    )
-    np.testing.assert_allclose(
-        enc_base.triple_repr.data[2], enc_dup.triple_repr.data[2], atol=1e-10
-    )
+    np.testing.assert_allclose(enc_base.data[0], enc_dup.data[0], atol=1e-10)
+    np.testing.assert_allclose(enc_base.data[2], enc_dup.data[2], atol=1e-10)
 
 
 def test_end_to_end_gradient_wrt_embeddings(rng):
@@ -300,7 +304,6 @@ def test_end_to_end_gradient_wrt_embeddings(rng):
     x = ad.Tensor(x_data, requires_grad=True)
 
     def fn(*_):
-        enc = triples.encode_triples(x, trips, n_rel, params)
-        return ad.reduce_sum(enc.triple_repr)
+        return ad.reduce_sum(triples.encode_triples(x, trips, n_rel, params))
 
     assert ad.fd_check(fn, [x]) < 1e-4
