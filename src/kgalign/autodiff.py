@@ -135,9 +135,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -206,11 +203,6 @@ def mul(a, b):
     return _record(
         x * y, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
     )
-
-
-def neg(a):
-    a = as_tensor(a)
-    return _record(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b):
@@ -302,26 +294,12 @@ def take_rows(a, indices):
 def reduce_sum(a, axis=None):
     a = as_tensor(a)
     shape = a.data.shape
-    if axis is None:
-        return _record(
-            np.sum(a.data),
-            (a,),
-            lambda g: (np.broadcast_to(g, shape).copy() if shape else g,),
-        )
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+        kept = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(kept, shape).copy(),)
 
     return _record(np.sum(a.data, axis=axis), (a,), backward)
-
-
-def _validate_segments(ids, n, num_segments, opname):
-    if n == 0:
-        raise ValueError(f"{opname}: empty input")
-    if len(ids) != n:
-        raise ValueError(f"{opname}: {len(ids)} segment ids for {n} values")
-    if ids.min() < 0 or ids.max() >= num_segments:
-        raise ValueError(f"{opname}: segment id outside [0, {num_segments})")
 
 
 def segment_softmax(logits, segment_ids):
@@ -329,15 +307,13 @@ def segment_softmax(logits, segment_ids):
 
     Stabilized by subtracting the per-segment maximum before exponentiation,
     so shifting all logits of a segment by a constant leaves the output
-    unchanged.
+    unchanged. The segment ids are checked by ``kernels``.
     """
     logits = as_tensor(logits)
     if logits.data.ndim != 1:
         raise DimensionError(f"segment_softmax: expected 1-D logits, got {logits.data.shape}")
     ids = np.ascontiguousarray(segment_ids, dtype=np.int64)
     num_segments = int(ids.max()) + 1 if ids.size else 0
-    _validate_segments(ids, logits.data.shape[0], max(num_segments, 1), "segment_softmax")
-
     shifted = logits.data - kernels.segment_max(logits.data, ids, num_segments)[ids]
     exp = np.exp(shifted)
     out = exp / kernels.segment_sum(exp, ids, num_segments)[ids]
@@ -354,7 +330,6 @@ def segment_sum(values, segment_ids, num_segments):
     """Sum value rows into per-segment buckets; empty segments are zero."""
     values = as_tensor(values)
     ids = np.ascontiguousarray(segment_ids, dtype=np.int64)
-    _validate_segments(ids, values.data.shape[0], num_segments, "segment_sum")
     return _record(
         kernels.segment_sum(values.data, ids, num_segments),
         (values,),
@@ -365,15 +340,16 @@ def segment_sum(values, segment_ids, num_segments):
 # ------------------------------------------------------------- verification
 
 
-def fd_check(forward_fn, inputs, eps=1e-5):
+FD_EPS = 1e-5  # central-difference step
+
+
+def fd_check(forward_fn, inputs):
     """Compare tape gradients of a scalar function against central differences.
 
     Returns the maximum over all input components of
     ``|g_ad - g_fd| / max(1, |g_fd|)``, or inf when any analytic or numeric
     gradient component is not finite.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     with Tape() as tape:
         loss = forward_fn(*inputs)
     if tape.ops and loss.requires_grad:
@@ -389,12 +365,12 @@ def fd_check(forward_fn, inputs, eps=1e-5):
         flat = tensor.data.reshape(-1)  # view; perturbations hit tensor.data
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_EPS
             f_plus = float(forward_fn(*inputs).data)
-            flat[i] = orig - eps
+            flat[i] = orig - FD_EPS
             f_minus = float(forward_fn(*inputs).data)
             flat[i] = orig
-            g_fd = (f_plus - f_minus) / (2.0 * eps)
+            g_fd = (f_plus - f_minus) / (2.0 * FD_EPS)
             err = abs(g_ad.reshape(-1)[i] - g_fd) / max(1.0, abs(g_fd))
             # max() would drop a NaN error
             worst = max(worst, err) if np.isfinite(err) else np.inf
@@ -403,6 +379,11 @@ def fd_check(forward_fn, inputs, eps=1e-5):
 
 
 # --------------------------------------------------------------- optimizer
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -414,7 +395,7 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_step(params, grads, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr=0.001):
     """One adaptive-moment update; mutates `params` arrays in place."""
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
@@ -426,13 +407,13 @@ def adam_step(params, grads, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             g = np.zeros_like(p)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -450,8 +431,11 @@ def glorot(rng, rows, cols):
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
 
-def uniform_vec(rng, size, bound=0.1):
-    return Tensor(rng.uniform(-bound, bound, size=size), requires_grad=True)
+UNIFORM_BOUND = 0.1  # half-width of every attention vector's init
+
+
+def uniform_vec(rng, size):
+    return Tensor(rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=size), requires_grad=True)
 
 
 def zeros_param(shape):

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -108,7 +109,7 @@ def _write_manifest(out_dir, command, cfg, data_dir, artifacts, timings):
         "tool": "kgalign",
         "version": __version__,
         "command": command,
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "data_dir": os.path.abspath(data_dir),
         "dataset_fingerprint": dataset_fingerprint(data_dir),
         "artifacts": artifacts,
@@ -195,17 +196,16 @@ def _load_run(run_dir):
         raise DataError(f"{manifest_path}: unknown config key {unknown[0]!r}")
     try:
         cfg = TrainConfig(**config)
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         # every TrainConfig check names its key first
         raise DataError(f"{manifest_path}: bad config value: {exc}") from None
-    params = training.load_checkpoint(checkpoint_path)
-    return checkpoint_path, cfg, params
+    return checkpoint_path, cfg
 
 
 def cmd_eval(args):
-    checkpoint_path, cfg, params = _load_run(args.model)
+    checkpoint_path, cfg = _load_run(args.model)
     task = kg.load_dbp15k(args.data, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
-    training.check_checkpoint(checkpoint_path, params, task, cfg)
+    params = training.load_checkpoint(checkpoint_path, task, cfg)
     f1, f2 = training.forward(task, params, cfg)
     report = evaluation.evaluate(
         task, f1.data, f2.data,
@@ -349,7 +349,7 @@ def main(argv=None):
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, DimensionError) as exc:

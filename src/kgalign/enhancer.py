@@ -6,8 +6,6 @@ cycle whose order is configurable. A final single attention layer over
 undirected graph neighbors doubles the embedding width.
 """
 
-import numpy as np
-
 from . import autodiff as ad
 from .triples import grouped_attention
 
@@ -61,8 +59,6 @@ def neighbor_reaggregate(x, src, dst, num_entities, attn_vec):
     Output width is twice the input width; entities with no neighbors get a
     zero aggregate block.
     """
-    if len(src) == 0:
-        return ad.concat(x, ad.Tensor(np.zeros_like(x.data)))
     x_center = ad.take_rows(x, src)
     x_neighbor = ad.take_rows(x, dst)
     agg = grouped_attention(x_center, x_neighbor, x_neighbor, src, num_entities, attn_vec)

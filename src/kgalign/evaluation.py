@@ -12,13 +12,14 @@ import numpy as np
 
 from . import kernels
 
+HITS_KS = (1, 10)  # the k of every reported hits@k
+
 
 @dataclass
 class EvalReport:
     hits_at: dict
     mrr: float
     per_query_ranks: np.ndarray
-    direction: str = "g1->g2"
 
     def lines(self):
         out = [f"hits@{k}\t{v:.6f}" for k, v in sorted(self.hits_at.items())]
@@ -37,12 +38,12 @@ def rank_pairs(query_embs, target_embs, pairs, pool):
     return (dist <= true_dist[:, None]).sum(axis=1).astype(np.int64)
 
 
-def _metrics(ranks, ks):
-    hits = {int(k): float(np.mean(ranks <= k)) for k in ks}
+def _metrics(ranks):
+    hits = {k: float(np.mean(ranks <= k)) for k in HITS_KS}
     return hits, float(np.mean(1.0 / ranks))
 
 
-def evaluate(task, final_emb1, final_emb2, ks=(1, 10), candidate_pool="test",
+def evaluate(task, final_emb1, final_emb2, candidate_pool="test",
              bidirectional=False) -> EvalReport:
     """Rank every test pair's true counterpart among the candidate pool.
 
@@ -64,20 +65,15 @@ def evaluate(task, final_emb1, final_emb2, ks=(1, 10), candidate_pool="test",
         pool1 = np.arange(task.g1.num_entities)
 
     ranks = rank_pairs(final_emb1, final_emb2, test, pool2)
-    hits, mrr = _metrics(ranks, ks)
+    hits, mrr = _metrics(ranks)
     if not bidirectional:
         return EvalReport(hits, mrr, ranks)
 
     reverse = test[:, ::-1]
     ranks_rev = rank_pairs(final_emb2, final_emb1, reverse, pool1)
-    hits_rev, mrr_rev = _metrics(ranks_rev, ks)
+    hits_rev, mrr_rev = _metrics(ranks_rev)
     merged = {k: (hits[k] + hits_rev[k]) / 2.0 for k in hits}
-    return EvalReport(
-        merged,
-        (mrr + mrr_rev) / 2.0,
-        np.concatenate([ranks, ranks_rev]),
-        direction="avg(g1->g2, g2->g1)",
-    )
+    return EvalReport(merged, (mrr + mrr_rev) / 2.0, np.concatenate([ranks, ranks_rev]))
 
 
 def write_report(report: EvalReport, path):

@@ -53,18 +53,6 @@ class KnowledgeGraph:
         if self.entity_names is not None and len(self.entity_names) != self.num_entities:
             raise DataError("entity_names length does not match num_entities")
 
-    @property
-    def heads(self):
-        return self.triples[:, 0]
-
-    @property
-    def rels(self):
-        return self.triples[:, 1]
-
-    @property
-    def tails(self):
-        return self.triples[:, 2]
-
 
 def build_normalized_adjacency(g: KnowledgeGraph) -> sp.csr_matrix:
     """Symmetric degree-normalized adjacency of the undirected graph.
@@ -73,8 +61,9 @@ def build_normalized_adjacency(g: KnowledgeGraph) -> sp.csr_matrix:
     diagonal is 1 for every entity.
     """
     n = g.num_entities
-    rows = np.concatenate([g.heads, g.tails, np.arange(n)])
-    cols = np.concatenate([g.tails, g.heads, np.arange(n)])
+    heads, tails = g.triples[:, 0], g.triples[:, 2]
+    rows = np.concatenate([heads, tails, np.arange(n)])
+    cols = np.concatenate([tails, heads, np.arange(n)])
     data = np.ones(rows.size)
     adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     adj.data[:] = 1.0  # collapse duplicates accumulated by the COO sum

@@ -17,6 +17,7 @@ from . import enhancer, evaluation, kg, structure, training, triples
 from . import oracles as naive
 
 FD_TOL = 1e-4
+FD_SEED = 1234
 
 
 @dataclass
@@ -62,11 +63,11 @@ def _fd_case_concat(rng):
     return lambda *_: ad.reduce_sum(ad.concat(a, b) * w), [a, b]
 
 
-def _fd_case_elementwise(op_name, *args):
+def _fd_case_elementwise(op_name):
     def build(rng):
         a = _param(rng, (4, 3))
         # looked up per call, so a patched ``ad`` function is the one checked
-        return lambda *_: ad.reduce_sum(getattr(ad, op_name)(a, *args)), [a]
+        return lambda *_: ad.reduce_sum(getattr(ad, op_name)(a)), [a]
 
     return build
 
@@ -170,7 +171,7 @@ FD_CASES = [
     ("mul", _fd_case_mul),
     ("concat", _fd_case_concat),
     ("relu", _fd_case_elementwise("relu")),
-    ("leaky_relu", _fd_case_elementwise("leaky_relu", 0.3)),
+    ("leaky_relu", _fd_case_elementwise("leaky_relu")),
     ("tanh", _fd_case_elementwise("tanh")),
     ("sigmoid", _fd_case_elementwise("sigmoid")),
     ("absval", _fd_case_elementwise("absval")),
@@ -187,15 +188,15 @@ FD_CASES = [
 ]
 
 
-def run_fd_checks(trials=20, seed=1234, tol=FD_TOL):
+def run_fd_checks(trials=20):
     """Worst relative gradient error per case over ``trials`` random draws;
     a case no draw checked fails."""
     results = []
     for name, builder in FD_CASES:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(FD_SEED)
         worst = max((ad.fd_check(*builder(rng)) for _ in range(trials)), default=math.inf)
         results.append(
-            CheckResult(f"grad/{name}", worst < tol, f"max_rel_err={worst:.3e}")
+            CheckResult(f"grad/{name}", worst < FD_TOL, f"max_rel_err={worst:.3e}")
         )
     return results
 

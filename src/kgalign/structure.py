@@ -26,10 +26,6 @@ def init_structure_params(rng, d_e, depth):
 
 def gcn_propagate(x, adjacency_norm):
     """Degree-normalized neighborhood average followed by ReLU; no weights."""
-    if adjacency_norm.shape[1] != x.data.shape[0]:
-        raise ad.DimensionError(
-            f"adjacency {adjacency_norm.shape} against embeddings {x.data.shape}"
-        )
     return ad.relu(ad.left_matmul(adjacency_norm, x))
 
 

@@ -8,9 +8,10 @@ pairs grow at each refresh by mutual-nearest cross-graph proposals.
 """
 
 import math
+import numbers
 import time
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_type(f.name, f.type, getattr(self, f.name))
         if not 0 < self.margin < math.inf:
             raise ConfigError("margin must be positive and finite")
         if not 0 < self.lr < math.inf:
@@ -71,8 +74,20 @@ class TrainConfig:
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be non-negative")
 
-    def as_dict(self):
-        return asdict(self)
+
+# what a TrainConfig field of each annotated type accepts; bool is never a number
+_FIELD_TYPES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
+
+
+def _check_type(name, kind, value):
+    accepted, noun = _FIELD_TYPES[kind]
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 def margin_loss(pos_dist, neg_dist, margin):
@@ -105,15 +120,6 @@ def alignment_loss(f1, f2, train_pairs, neg1, neg2, margin):
     d_neg1 = _row_l1(ad.take_rows(f1, neg1.reshape(-1)), ad.take_rows(f2, idx2[rep]))
     d_neg2 = _row_l1(ad.take_rows(f1, idx1[rep]), ad.take_rows(f2, neg2.reshape(-1)))
     return margin_loss(pos_rep, d_neg1, margin) + margin_loss(pos_rep, d_neg2, margin)
-
-
-@dataclass
-class NegativeCache:
-    """Per-pair candidate ids replacing each side, plus the refresh epoch."""
-
-    side1: np.ndarray  # (pairs, k) ids in graph 1
-    side2: np.ndarray  # (pairs, k) ids in graph 2
-    epoch: int = 0
 
 
 _BLOCK_ELEMS = 1 << 22  # distance entries per row block of the top-k search
@@ -155,14 +161,18 @@ def _check_finite_params(what, epoch, names, arrays):
             raise NumericalError(f"non-finite {what} of {name!r} at epoch {epoch}")
 
 
-def refresh_negatives(f1, f2, train_pairs, k, epoch=0) -> NegativeCache:
-    """k nearest same-graph entities per pair side, excluding the entity itself."""
+def refresh_negatives(f1, f2, train_pairs, k, epoch=0):
+    """k nearest same-graph entities per pair side, excluding the entity itself.
+
+    Returns ``(neg1, neg2)``, each (pairs, k): ``neg1`` ids in graph 1,
+    ``neg2`` ids in graph 2.
+    """
     _check_finite(f"refresh_negatives at epoch {epoch}", f1, f2)
     ids1, ids2 = train_pairs[:, 0], train_pairs[:, 1]
     # one distance matrix alive at a time
     neg1 = _k_nearest_rows(kernels.pairwise_manhattan(f1[ids1], f1), k, ids1)
     neg2 = _k_nearest_rows(kernels.pairwise_manhattan(f2[ids2], f2), k, ids2)
-    return NegativeCache(neg1, neg2, epoch)
+    return neg1, neg2
 
 
 def expand_seeds_bidirectional(f1, f2, train_pairs, n1, n2):
@@ -261,10 +271,10 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
                     )
                     if len(new_pairs):
                         train_pairs = np.concatenate([train_pairs, new_pairs])
-                cache = refresh_negatives(
+                neg1, neg2 = refresh_negatives(
                     f1.data, f2.data, train_pairs, cfg.neg_k, epoch
                 )
-            loss = alignment_loss(f1, f2, train_pairs, cache.side1, cache.side2, cfg.margin)
+            loss = alignment_loss(f1, f2, train_pairs, neg1, neg2, cfg.margin)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
@@ -301,9 +311,14 @@ def save_checkpoint(path, params):
     np.savez(path, __format__=np.array(CHECKPOINT_FORMAT), **arrays)
 
 
-def load_checkpoint(path):
-    """Parameters written by ``save_checkpoint``; ``DataError`` naming ``path``
-    for any other file."""
+def load_checkpoint(path, task, cfg):
+    """Parameters that ``save_checkpoint`` wrote for ``task`` under ``cfg``.
+
+    Raises ``DataError`` naming ``path`` for any other file: one that is not
+    a kgalign checkpoint, one whose keys or shapes differ from what
+    ``init_params(task, cfg)`` builds (the first bad key in sorted order is
+    named), or one holding anything but finite float64 values.
+    """
     try:
         bundle = np.load(path)
         if not isinstance(bundle, np.lib.npyio.NpzFile):
@@ -317,25 +332,24 @@ def load_checkpoint(path):
         raise DataError(f"{path}: no __format__ entry, not a kgalign checkpoint")
     if version.shape != () or version != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: unsupported checkpoint format {version}")
-    return {key: ad.Tensor(array, requires_grad=True) for key, array in arrays.items()}
-
-
-def check_checkpoint(path, params, task, cfg):
-    """Raise ``DataError`` unless ``params`` has the keys and shapes that
-    ``init_params(task, cfg)`` builds; names the first bad key in sorted order."""
     expected = init_params(task, cfg, np.random.default_rng(cfg.rng_seed))
-    for key in sorted(expected.keys() | params.keys()):
-        if key not in params:
+    for key in sorted(expected.keys() | arrays.keys()):
+        if key not in arrays:
             raise DataError(f"{path}: checkpoint lacks parameter {key!r}")
         if key not in expected:
             raise DataError(f"{path}: checkpoint has unexpected parameter {key!r}")
-        got, want = params[key].data.shape, expected[key].data.shape
+        got, want = arrays[key].shape, expected[key].data.shape
         if got != want:
             raise DataError(
                 f"{path}: parameter {key!r} has shape {got}, but the run's config on "
                 f"this dataset ({task.g1.num_entities} and {task.g2.num_entities} "
                 f"entities) needs {want}"
             )
+        if arrays[key].dtype != np.float64:
+            raise DataError(f"{path}: parameter {key!r} is {arrays[key].dtype}, not float64")
+        if not np.isfinite(arrays[key]).all():
+            raise DataError(f"{path}: parameter {key!r} holds a non-finite value")
+    return {key: ad.Tensor(array, requires_grad=True) for key, array in arrays.items()}
 
 
 def timed(fn, *args, **kwargs):

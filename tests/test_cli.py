@@ -251,7 +251,12 @@ def _edit_config(**edits):
     (_edit_config(margin=-1), "bad config value: margin must be positive"),
     (lambda text: text[: len(text) // 2], "not valid JSON"),  # cut off mid-write
     (lambda text: "[]", "no config object"),
-], ids=["unknown-key", "bad-value", "truncated", "no-config"])
+    (_edit_config(d_r=8.0), "bad config value: d_r must be an integer, got 8.0"),
+    (_edit_config(epochs=True), "bad config value: epochs must be an integer, got True"),
+    (_edit_config(margin="3.0"), "bad config value: margin must be a real number, got '3.0'"),
+    (_edit_config(semi="yes"), "bad config value: semi must be true or false, got 'yes'"),
+], ids=["unknown-key", "bad-value", "truncated", "no-config",
+        "float-for-int", "bool-for-int", "str-for-float", "str-for-bool"])
 def test_eval_bad_manifest_config_exits_data(run_dir, dataset, tmp_path, capsys,
                                              edit, message):
     edited = tmp_path / "edited_run"
@@ -262,6 +267,35 @@ def test_eval_bad_manifest_config_exits_data(run_dir, dataset, tmp_path, capsys,
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert f"manifest.json: {message}" in err
+    assert "Traceback" not in err
+
+
+def _set_first(value):
+    def poison(array):
+        array[0, 0] = value
+        return array
+    return poison
+
+
+@pytest.mark.parametrize("poison, message", [
+    (_set_first(np.nan), "holds a non-finite value"),
+    (_set_first(np.inf), "holds a non-finite value"),
+    (lambda array: array.astype(str), "is <U32, not float64"),
+], ids=["nan", "inf", "text"])
+def test_eval_non_finite_checkpoint_exits_data(run_dir, dataset, tmp_path, capsys,
+                                               poison, message):
+    # ReLU maps NaN to 0, so a NaN attention vector would not show in the metrics
+    edited = tmp_path / "edited_run"
+    shutil.copytree(run_dir, edited)
+    checkpoint = edited / "checkpoint.npz"
+    with np.load(checkpoint) as bundle:
+        arrays = dict(bundle)
+    arrays["triple.head_a"] = poison(arrays["triple.head_a"])
+    np.savez(checkpoint, **arrays)
+    code = run_cli("eval", "--model", str(edited), "--data", str(dataset))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{checkpoint}: parameter 'triple.head_a' {message}" in err
     assert "Traceback" not in err
 
 
@@ -386,6 +420,17 @@ def test_bad_setting_is_usage_error(dataset, tmp_path, capsys, argv, message):
     assert run_cli(*argv, "--data", str(dataset), *out) == EXIT_USAGE
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen-synth"])
+def test_out_path_that_is_a_file_exits_data(dataset, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    data = ["--data", str(dataset), "--epochs", "0"] if command == "train" else []
+    assert run_cli(command, *data, "--out", str(taken)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"'{taken}'" in err
+    assert "Traceback" not in err
 
 
 def _poison_first_embedding(dataset, tmp_path, value):

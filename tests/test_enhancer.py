@@ -155,6 +155,17 @@ def test_empty_neighborhood_gets_zero_block(rng):
     assert (out[0, 3:] == 0.0).all()
 
 
+def test_no_neighbor_edges_gives_zero_block_and_identity_gradient(rng):
+    empty = np.zeros(0, dtype=np.int64)
+    x = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with ad.Tape() as tape:
+        out = enhancer.neighbor_reaggregate(x, empty, empty, 2, ad.Tensor(rng.normal(size=(6, 1))))
+        loss = ad.reduce_sum(out)
+    np.testing.assert_array_equal(out.data, np.concatenate([x.data, np.zeros((2, 3))], axis=1))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
 def test_final_width_doubles(rng):
     x, trips, t_repr, params = make_instance(rng)
     out = enhancer.enhance_entities(ad.Tensor(x), ad.Tensor(t_repr), structure_of(trips, 10),

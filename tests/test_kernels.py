@@ -32,6 +32,12 @@ def test_segment_max(rng):
     assert got[4] == -np.inf
 
 
+def test_segment_max_rejects_length_mismatch():
+    # a length-1 values array must not broadcast over the ids
+    with pytest.raises(ValueError):
+        kernels.segment_max(np.ones(1), [0, 1, 1], 2)
+
+
 @pytest.mark.parametrize("ids", [[0, 3, 1], [0, -1, 1]])
 @pytest.mark.parametrize("width", [None, 2])
 def test_segment_sum_rejects_ids_outside_segments(ids, width):

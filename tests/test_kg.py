@@ -315,7 +315,7 @@ def test_synthetic_deterministic_with_frozen_counts():
 def test_synthetic_entity_and_relation_coverage(small_task):
     for graph in (small_task.g1.base, small_task.g2.base):
         seen = np.zeros(graph.num_entities, dtype=bool)
-        seen[graph.heads] = True
-        seen[graph.tails] = True
+        seen[graph.triples[:, 0]] = True
+        seen[graph.triples[:, 2]] = True
         assert seen.all()
-        assert set(np.unique(graph.rels)) == set(range(graph.num_relations))
+        assert set(np.unique(graph.triples[:, 1])) == set(range(graph.num_relations))

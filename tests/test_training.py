@@ -81,28 +81,27 @@ def test_refresh_negatives_hand_toy():
     f1 = np.array([[0.0], [1.0], [10.0]])
     f2 = np.array([[0.0], [2.0], [3.0]])
     pairs = np.array([[0, 0]])
-    cache = training.refresh_negatives(f1, f2, pairs, k=1, epoch=5)
-    assert cache.side1[0, 0] == 1  # nearest non-self entity in graph 1
-    assert cache.side2[0, 0] == 1
-    assert cache.epoch == 5
+    neg1, neg2 = training.refresh_negatives(f1, f2, pairs, k=1, epoch=5)
+    assert neg1[0, 0] == 1  # nearest non-self entity in graph 1
+    assert neg2[0, 0] == 1
 
 
 def test_refresh_excludes_the_entity_itself(rng):
     f1 = rng.normal(size=(12, 4))
     f2 = rng.normal(size=(12, 4))
     pairs = np.stack([np.arange(6), np.arange(6)], axis=1)
-    cache = training.refresh_negatives(f1, f2, pairs, k=5)
+    neg1, neg2 = training.refresh_negatives(f1, f2, pairs, k=5)
     for p, (e1, e2) in enumerate(pairs):
-        assert e1 not in cache.side1[p]
-        assert e2 not in cache.side2[p]
+        assert e1 not in neg1[p]
+        assert e2 not in neg2[p]
 
 
 def test_refresh_tie_break_prefers_lower_id():
     f1 = np.zeros((4, 2))  # all candidates tied at distance 0
     f2 = np.zeros((4, 2))
     pairs = np.array([[2, 2]])
-    cache = training.refresh_negatives(f1, f2, pairs, k=2)
-    assert cache.side1[0].tolist() == [0, 1]
+    neg1, _ = training.refresh_negatives(f1, f2, pairs, k=2)
+    assert neg1[0].tolist() == [0, 1]
 
 
 def test_refresh_rejects_k_too_large():
@@ -220,6 +219,16 @@ def test_config_validation():
     for bad in ({"gcn_depth": 0}, {"lr": -1.0}, {"lr": float("nan")}, {"eval_every": -1},
                 {"margin": float("inf")}, {"d_r": -1}, {"rng_seed": -1}):
         with pytest.raises(training.ConfigError, match=f"^{next(iter(bad))}"):
+            TrainConfig(**bad)
+
+
+def test_config_checks_each_field_against_its_annotation():
+    # an int is a real number, a numpy integer is an integer, a bool is neither
+    cfg = TrainConfig(margin=3, d_r=np.int64(8), semi=True, variant="wo-T")
+    assert (cfg.margin, cfg.d_r) == (3, 8)
+    for bad in ({"d_r": 8.0}, {"epochs": True}, {"margin": False}, {"margin": "3.0"},
+                {"semi": 1}, {"variant": None}):
+        with pytest.raises(training.ConfigError, match=f"^{next(iter(bad))} must be "):
             TrainConfig(**bad)
 
 
@@ -344,7 +353,7 @@ def test_checkpoint_round_trip(tmp_path, small_task):
     result = training.fit(small_task, cfg)
     path = tmp_path / "ckpt.npz"
     training.save_checkpoint(path, result.params)
-    loaded = training.load_checkpoint(path)
+    loaded = training.load_checkpoint(path, small_task, cfg)
     assert set(loaded) == set(result.params)
     for key in loaded:
         np.testing.assert_array_equal(loaded[key].data, result.params[key].data)
@@ -355,13 +364,14 @@ def test_checkpoint_round_trip(tmp_path, small_task):
     ({"w": np.ones(2)}, False, "no __format__ entry"),
     ({"__format__": np.array(99)}, False, "unsupported checkpoint format 99"),
 ], ids=["cut-in-half", "no-format", "format-99"])
-def test_load_checkpoint_rejects_damaged_or_foreign_file(tmp_path, arrays, cut, message):
+def test_load_checkpoint_rejects_damaged_or_foreign_file(tmp_path, small_task, arrays, cut,
+                                                         message):
     path = tmp_path / "ckpt.npz"
     np.savez(path, **arrays)
     if cut:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     with pytest.raises(kg.DataError, match=f"^{re.escape(str(path))}: {message}"):
-        training.load_checkpoint(path)
+        training.load_checkpoint(path, small_task, TrainConfig())
 
 
 def _count_forward_calls(monkeypatch):
