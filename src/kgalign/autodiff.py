@@ -8,8 +8,13 @@ visits each recorded node exactly once.
 A record holds gradient slots (``_Node``), not tensors, and each backward
 rule captures only the arrays and shapes it reads. An intermediate array is
 therefore freed as soon as the model code drops it, unless a backward rule
-needs it: a ``take_rows`` gather feeding a ``concat`` dies at once, a
-``matmul`` input lives until the sweep reaches it.
+needs it. Only ``matmul``, ``mul`` and ``absval`` read an input array, and
+they read it through ``_saved``. The output of a copy op (``concat``,
+``take_rows``) is never kept for them: ``_saved`` hands back a function
+that rebuilds it bit for bit from its sources, so the copy exists again
+only while the reading rule runs. This needs every source array unchanged
+between the forward pass and the sweep; ``adam_step`` and ``fd_check``'s
+perturbations only run after it.
 
 The sweep consumes the tape: each op record is dropped once its backward
 has run, and each intermediate gradient once it has been passed on, so
@@ -95,12 +100,13 @@ class _Node:
 class Tensor:
     """Dense float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self._node = _Node()
+        self._rebuild = None  # set on a copy op's output made on a tape
 
     @property
     def grad(self):
@@ -143,19 +149,35 @@ def as_tensor(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _record(data, inputs, backward):
+def _record(data, inputs, backward, rebuild=None):
     """Wrap ``data``; on a tape, record gradient slots, never the tensors.
 
     ``backward`` must close over only the arrays and shapes it reads, not
     over the input tensors, so that the rest is freed with the model's
-    references.
+    references. A copy op passes ``rebuild``, which returns ``data`` anew;
+    on a tape the output keeps it for ``_saved``.
     """
     out_requires = bool(_TAPES) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=out_requires)
+    if _TAPES:
+        out._rebuild = rebuild
     if out_requires:
         nodes = tuple(t._node if t.requires_grad else None for t in inputs)
         _TAPES[-1].record(nodes, out._node, backward)
     return out
+
+
+def _saved(t):
+    """A function returning ``t``'s array, for a backward rule to call.
+
+    The one way a rule reads an input array. For a copy op's output it
+    rebuilds the array from the op's sources, so the copy is not kept; any
+    other array is kept as it is.
+    """
+    if t._rebuild is not None:
+        return t._rebuild
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(grad, shape):
@@ -199,9 +221,11 @@ def sub(a, b):
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "mul")
-    x, y = a.data, b.data
+    xs, ys = _saved(a), _saved(b)
+    sa, sb = a.data.shape, b.data.shape
     return _record(
-        x * y, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
+        a.data * b.data, (a, b),
+        lambda g: (_unbroadcast(g * ys(), sa), _unbroadcast(g * xs(), sb)),
     )
 
 
@@ -209,8 +233,14 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    x, y = a.data, b.data
-    return _record(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
+    xs, ys = _saved(a), _saved(b)
+
+    def backward(g):
+        # b's gradient first, so a rebuilt x is freed before a's is allocated
+        grad_b = xs().T @ g
+        return g @ ys().T, grad_b
+
+    return _record(a.data @ b.data, (a, b), backward)
 
 
 def left_matmul(matrix, x):
@@ -251,26 +281,28 @@ def sigmoid(a):
 
 def absval(a):
     a = as_tensor(a)
-    x = a.data
-    return _record(np.abs(x), (a,), lambda g: (g * np.sign(x),))
+    xs = _saved(a)
+    return _record(np.abs(a.data), (a,), lambda g: (g * np.sign(xs()),))
 
 
-def concat(a, b, axis=-1):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != b.data.ndim:
-        raise DimensionError(f"concat: ranks differ, {a.data.shape} vs {b.data.shape}")
-    ax = axis if axis >= 0 else a.data.ndim + axis
-    for i, (m, n) in enumerate(zip(a.data.shape, b.data.shape)):
-        if i != ax and m != n:
-            raise DimensionError(f"concat: shapes {a.data.shape} and {b.data.shape} on axis {axis}")
-    split = a.data.shape[ax]
-
-    def backward(g):
-        left = np.take(g, np.arange(split), axis=ax)
-        right = np.take(g, np.arange(split, g.shape[ax]), axis=ax)
-        return left, right
-
-    return _record(np.concatenate([a.data, b.data], axis=ax), (a, b), backward)
+def concat(*parts, axis=-1):
+    """Join tensors along ``axis``; each part's gradient is a view of ``g``."""
+    parts = [as_tensor(p) for p in parts]
+    shapes = [p.data.shape for p in parts]
+    ndim = len(shapes[0])
+    if any(len(s) != ndim for s in shapes):
+        raise DimensionError(f"concat: ranks differ, {' vs '.join(map(str, shapes))}")
+    ax = axis if axis >= 0 else ndim + axis
+    if len({s[:ax] + s[ax + 1:] for s in shapes}) > 1:
+        raise DimensionError(f"concat: shapes {', '.join(map(str, shapes))} on axis {axis}")
+    splits = np.cumsum([s[ax] for s in shapes])[:-1]
+    sources = [_saved(p) for p in parts]
+    return _record(
+        np.concatenate([p.data for p in parts], axis=ax),
+        parts,
+        lambda g: np.split(g, splits, axis=ax),
+        lambda: np.concatenate([source() for source in sources], axis=ax),
+    )
 
 
 def reshape(a, shape):
@@ -286,8 +318,11 @@ def take_rows(a, indices):
     n = a.data.shape[0]
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise IndexError(f"take_rows: indices outside [0, {n})")
+    source = _saved(a)
     return _record(
-        a.data[indices], (a,), lambda g: (kernels.segment_sum(g, indices, n),)
+        a.data[indices], (a,),
+        lambda g: (kernels.segment_sum(g, indices, n),),
+        lambda: source()[indices],
     )
 
 

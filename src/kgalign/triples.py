@@ -56,7 +56,7 @@ def triple_specificity(x, heads, tails, local_w):
     x_t = ad.take_rows(x, tails)
     local = ad.concat(x_h, x_t)
     projected = ad.matmul(local, local_w)
-    return ad.concat(ad.concat(x_h, projected), x_t), local
+    return ad.concat(x_h, projected, x_t), local
 
 
 def grouped_attention(query, key, value, ids, num_groups, attn_vec):
@@ -116,7 +116,7 @@ def type_triple(x_type, heads, rels, tails, num_relations, type_rel_w):
     local = ad.concat(xt_h, xt_t)
     rel_local = ad.take_rows(rel_type_global, rels) + local
     projected = ad.matmul(rel_local, type_rel_w)
-    return rel_type_global, ad.concat(ad.concat(xt_h, projected), xt_t)
+    return rel_type_global, ad.concat(xt_h, projected, xt_t)
 
 
 def mutual_attention(sem, type_proj, rel_ids, num_relations, fwd_a, rev_a):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
-from kgalign import training
+from kgalign import kg, training
 from kgalign.training import TrainConfig
 from kgalign import oracles as naive
 
@@ -63,6 +64,43 @@ def test_concat_gradient_splits(rng):
     w = rng.normal(size=(3, 6))
     err = ad.fd_check(lambda *_: ad.reduce_sum(ad.concat(a, b) * w), [a, b])
     assert err < 1e-6
+
+
+def test_concat_of_three_matches_nested_concat(rng):
+    parts = [ad.Tensor(rng.normal(size=(3, w)), requires_grad=True) for w in (2, 1, 4)]
+    w = rng.normal(size=(7, 2))
+
+    def run(join):
+        with ad.Tape() as tape:
+            out = join(*parts)
+            loss = ad.reduce_sum(ad.matmul(out, w))
+        tape.backward(loss)
+        grads = [p.grad for p in parts]
+        ad.zero_grads(parts)
+        return out.data, grads
+
+    flat, flat_grads = run(ad.concat)
+    nested, nested_grads = run(lambda a, b, c: ad.concat(ad.concat(a, b), c))
+    assert np.array_equal(flat, nested)
+    for got, want in zip(flat_grads, nested_grads):
+        assert np.array_equal(got, want)
+    mask = rng.normal(size=(3, 7))
+    assert ad.fd_check(lambda *_: ad.reduce_sum(ad.concat(*parts) * mask), parts) < 1e-6
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_concat_backward_returns_views_of_the_gradient(rng, axis):
+    widths = (2, 1, 3)
+    shapes = [(w, 4) if axis == 0 else (4, w) for w in widths]
+    parts = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    with ad.Tape() as tape:
+        out = ad.concat(*parts, axis=axis)
+    ((_, _, backward),) = tape.ops
+    g = rng.normal(size=out.shape)
+    bounds = np.cumsum((0,) + widths)
+    for grad, lo, hi in zip(backward(g), bounds[:-1], bounds[1:]):
+        assert np.shares_memory(grad, g)
+        assert np.array_equal(grad, np.take(g, np.arange(lo, hi), axis=axis))
 
 
 def test_concat_leading_shape_mismatch():
@@ -255,8 +293,19 @@ def test_backward_shared_first_contribution_stays_unchanged():
     np.testing.assert_array_equal(a.grad, w + c)
 
 
-def test_backward_matches_keep_all_sweep_on_full_model(small_task):
-    cfg = TrainConfig(d_r=6, d_t=6)
+# parameter-name prefixes a variant leaves unused, so without a gradient;
+# without the cycle nothing reads the triple representation
+_UNUSED_BY_VARIANT = {"wo-T": ("triple.type", "triple.mutual"),
+                      "wo-C": ("enhance.head", "enhance.tail", "triple.")}
+
+
+@pytest.mark.parametrize(
+    "variant, cycle_mode", [("full", 2), ("wo-T", 2), ("wo-C", 2), ("full", 3)]
+)
+def test_backward_matches_keep_all_sweep_on_full_model(small_task, variant, cycle_mode):
+    # mode 3 rebuilds the triple representation for four attention readers
+    unused = _UNUSED_BY_VARIANT.get(variant, ())
+    cfg = TrainConfig(d_r=6, d_t=6, variant=variant, cycle_mode=cycle_mode)
     params = training.init_params(small_task, cfg, np.random.default_rng(3))
     pairs = small_task.seeds_train
 
@@ -275,8 +324,11 @@ def test_backward_matches_keep_all_sweep_on_full_model(small_task):
     naive.backward_keep_all(kept_tape, kept_loss)
     assert len(kept_tape.ops) > 100
     for key in sorted(params):
-        assert lean[key] is not None, key
-        assert np.array_equal(lean[key], params[key].grad), key
+        assert (lean[key] is None) == key.startswith(unused), key
+        if lean[key] is None:
+            assert params[key].grad is None, key
+        else:
+            assert np.array_equal(lean[key], params[key].grad), key
 
 
 # op -> whether its backward rule reads the input array x (3x4), so the
@@ -296,19 +348,63 @@ _INPUT_RETENTION = {
     "mul": (lambda x, o: x * o, True),
     "absval": (lambda x, o: ad.absval(x), True),
 }
+# "<op>-of-<copy>": x is a copy op's output, which is never kept; the
+# reading rule rebuilds it
+_INPUT_RETENTION.update({
+    f"{reader}-of-{copy}": (_INPUT_RETENTION[reader][0], False)
+    for reader in ("matmul", "mul", "absval") for copy in ("concat", "take_rows")
+})
+
+# how x (3x4) is made from a source tensor of the given shape
+_MAKE_X = {
+    "leaf": ((3, 4), lambda s: s),
+    "concat": ((3, 2), lambda s: ad.concat(s, s)),
+    "take_rows": ((4, 4), lambda s: ad.take_rows(s, [3, 0, 3])),
+}
 
 
 @pytest.mark.parametrize("name", sorted(_INPUT_RETENTION))
 def test_tape_keeps_an_input_array_only_if_its_backward_reads_it(rng, name):
     op, kept = _INPUT_RETENTION[name]
+    made_by = name.partition("-of-")[2] or "leaf"
+    shape, make = _MAKE_X[made_by]
     other = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    ref = weakref.ref(x.data)
+    source = ad.Tensor(rng.normal(size=shape), requires_grad=True)
     with ad.Tape() as tape:
+        x = make(source)
         loss = ad.reduce_sum(op(x, other))
+    ref = weakref.ref(x.data)
     del x
+    if made_by == "leaf":
+        del source
     assert (ref() is not None) == kept
     tape.backward(loss)  # the sweep needs nothing that was freed
+    if made_by != "leaf":
+        assert source.grad is not None
+
+
+# tracemalloc bytes that the taped forward pass plus loss below retained
+# when copy outputs were kept for the rules that read them (numpy 2.4)
+_RETAINED_KEEPING_COPIES = 42_580_390
+
+
+def test_taped_forward_retains_at_most_40_percent_of_keeping_copies():
+    task = kg.generate_synthetic_pair(300, 20, 9, emb_dim=60, rng_seed=5)
+    cfg = TrainConfig(d_r=20, d_t=20)
+    params = training.init_params(task, cfg, np.random.default_rng(0))
+    pairs = task.seeds_train
+    training.forward(task, params, cfg)  # first-call allocations are not activations
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            f1, f2 = training.forward(task, params, cfg)
+            neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
+            loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 0.4 * _RETAINED_KEEPING_COPIES
+    tape.backward(loss)
 
 
 def test_backward_empty_tape_errors():
