@@ -257,13 +257,16 @@ def relu(a):
     return _record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def leaky_relu(a, slope=0.3):
+LEAKY_SLOPE = 0.3  # negative-side slope of every attention score
+
+
+def leaky_relu(a):
     a = as_tensor(a)
     mask = a.data > 0
     return _record(
-        np.where(mask, a.data, slope * a.data),
+        np.where(mask, a.data, LEAKY_SLOPE * a.data),
         (a,),
-        lambda g: (g * np.where(mask, 1.0, slope),),
+        lambda g: (g * np.where(mask, 1.0, LEAKY_SLOPE),),
     )
 
 
@@ -297,12 +300,17 @@ def concat(*parts, axis=-1):
         raise DimensionError(f"concat: shapes {', '.join(map(str, shapes))} on axis {axis}")
     splits = np.cumsum([s[ax] for s in shapes])[:-1]
     sources = [_saved(p) for p in parts]
-    return _record(
-        np.concatenate([p.data for p in parts], axis=ax),
-        parts,
-        lambda g: np.split(g, splits, axis=ax),
-        lambda: np.concatenate([source() for source in sources], axis=ax),
-    )
+    data = np.concatenate([p.data for p in parts], axis=ax)
+    shape = data.shape
+
+    def rebuild():
+        # one rebuilt part alive at a time, copied into its slice
+        out = np.empty(shape)
+        for view, source in zip(np.split(out, splits, axis=ax), sources):
+            view[...] = source()
+        return out
+
+    return _record(data, parts, lambda g: np.split(g, splits, axis=ax), rebuild)
 
 
 def reshape(a, shape):
@@ -311,18 +319,17 @@ def reshape(a, shape):
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def take_rows(a, indices):
-    """Gather rows (axis 0); the backward pass scatter-adds duplicates."""
+def take_rows(a, rows):
+    """Gather rows (axis 0) by a ``kernels.Segments`` over ``a``'s rows or an
+    index array, wrapped into one here; the backward scatter-adds duplicates."""
     a = as_tensor(a)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    n = a.data.shape[0]
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise IndexError(f"take_rows: indices outside [0, {n})")
-    source = _saved(a)
+    if not isinstance(rows, kernels.Segments):
+        rows = kernels.Segments(rows, a.data.shape[0])
+    ids, source = rows.ids, _saved(a)
     return _record(
-        a.data[indices], (a,),
-        lambda g: (kernels.segment_sum(g, indices, n),),
-        lambda: source()[indices],
+        a.data[ids], (a,),
+        lambda g: (kernels.segment_sum(g, rows),),
+        lambda: source()[ids],
     )
 
 
@@ -337,38 +344,33 @@ def reduce_sum(a, axis=None):
     return _record(np.sum(a.data, axis=axis), (a,), backward)
 
 
-def segment_softmax(logits, segment_ids):
-    """Softmax normalized independently within each segment.
+def segment_softmax(logits, seg):
+    """Softmax normalized independently within each segment of ``seg``.
 
     Stabilized by subtracting the per-segment maximum before exponentiation,
     so shifting all logits of a segment by a constant leaves the output
-    unchanged. The segment ids are checked by ``kernels``.
+    unchanged.
     """
     logits = as_tensor(logits)
     if logits.data.ndim != 1:
         raise DimensionError(f"segment_softmax: expected 1-D logits, got {logits.data.shape}")
-    ids = np.ascontiguousarray(segment_ids, dtype=np.int64)
-    num_segments = int(ids.max()) + 1 if ids.size else 0
-    shifted = logits.data - kernels.segment_max(logits.data, ids, num_segments)[ids]
+    shifted = logits.data - kernels.segment_max(logits.data, seg)[seg.ids]
     exp = np.exp(shifted)
-    out = exp / kernels.segment_sum(exp, ids, num_segments)[ids]
+    out = exp / kernels.segment_sum(exp, seg)[seg.ids]
 
     def backward(g):
         # within each segment: dL/dz = out * (g - sum(g * out))
-        inner = kernels.segment_sum(g * out, ids, num_segments)
-        return (out * (g - inner[ids]),)
+        inner = kernels.segment_sum(g * out, seg)
+        return (out * (g - inner[seg.ids]),)
 
     return _record(out, (logits,), backward)
 
 
-def segment_sum(values, segment_ids, num_segments):
-    """Sum value rows into per-segment buckets; empty segments are zero."""
+def segment_sum(values, seg):
+    """Sum value rows into the buckets of ``seg``; empty segments are zero."""
     values = as_tensor(values)
-    ids = np.ascontiguousarray(segment_ids, dtype=np.int64)
     return _record(
-        kernels.segment_sum(values.data, ids, num_segments),
-        (values,),
-        lambda g: (g[ids],),
+        kernels.segment_sum(values.data, seg), (values,), lambda g: (g[seg.ids],)
     )
 
 

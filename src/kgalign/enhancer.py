@@ -22,20 +22,18 @@ def init_enhancer_params(rng, d_e, triple_width):
     }
 
 
-def attention_enhance(x, triple_repr, entity_ids, num_entities, proj_w, attn_vec):
+def attention_enhance(x, triple_repr, seg, proj_w, attn_vec):
     """Residual update of entities from the triples grouped on them.
 
-    Entities outside ``entity_ids`` receive a zero aggregate and come back
-    bitwise unchanged.
+    Entities that no triple in ``seg`` (a graph's ``heads`` or ``tails``)
+    names receive a zero aggregate and come back bitwise unchanged.
     """
     proj = ad.matmul(triple_repr, proj_w)
-    agg = grouped_attention(
-        proj, ad.take_rows(x, entity_ids), proj, entity_ids, num_entities, attn_vec
-    )
+    agg = grouped_attention(proj, ad.take_rows(x, seg), proj, seg, attn_vec)
     return x + ad.relu(agg)
 
 
-def cycle_co_enhance(x, triple_repr, heads, tails, num_entities, params, mode=2):
+def cycle_co_enhance(x, triple_repr, graph, params, mode=2):
     """Alternate head/tail residual updates in the order given by ``mode``.
 
     The triple representation stays fixed for the whole cycle; each step's
@@ -43,17 +41,16 @@ def cycle_co_enhance(x, triple_repr, heads, tails, num_entities, params, mode=2)
     """
     if mode not in CYCLE_STEPS:
         raise ValueError(f"cycle mode must be one of {sorted(CYCLE_STEPS)}, got {mode}")
-    roles = {"h": ("head", heads), "t": ("tail", tails)}
+    roles = {"h": ("head", graph.heads), "t": ("tail", graph.tails)}
     for step in CYCLE_STEPS[mode]:
-        role, ids = roles[step]
+        role, seg = roles[step]
         x = attention_enhance(
-            x, triple_repr, ids, num_entities,
-            params[f"enhance.{role}_w"], params[f"enhance.{role}_a"],
+            x, triple_repr, seg, params[f"enhance.{role}_w"], params[f"enhance.{role}_a"]
         )
     return x
 
 
-def neighbor_reaggregate(x, src, dst, num_entities, attn_vec):
+def neighbor_reaggregate(x, src, dst, attn_vec):
     """Attention over each entity's neighborhood, concatenated onto the entity.
 
     Output width is twice the input width; entities with no neighbors get a
@@ -61,20 +58,18 @@ def neighbor_reaggregate(x, src, dst, num_entities, attn_vec):
     """
     x_center = ad.take_rows(x, src)
     x_neighbor = ad.take_rows(x, dst)
-    agg = grouped_attention(x_center, x_neighbor, x_neighbor, src, num_entities, attn_vec)
+    agg = grouped_attention(x_center, x_neighbor, x_neighbor, src, attn_vec)
     return ad.concat(x, ad.relu(agg))
 
 
 def enhance_entities(x, triple_repr, graph, params, mode=2, skip_cycle=False):
     """Cycle co-enhancement (unless skipped) followed by neighbor re-aggregation.
 
-    ``graph`` is a ``kg.GraphStructure``: its base triples drive the cycle and
-    its neighbor arrays the re-aggregation.
+    ``graph`` is a ``kg.GraphStructure``: its head and tail segments drive
+    the cycle and its neighbor segments the re-aggregation.
     """
-    n = graph.num_entities
     if not skip_cycle:
-        trips = graph.base.triples
-        x = cycle_co_enhance(x, triple_repr, trips[:, 0], trips[:, 2], n, params, mode)
+        x = cycle_co_enhance(x, triple_repr, graph, params, mode)
     return neighbor_reaggregate(
-        x, graph.neighbor_src, graph.neighbor_dst, n, params["enhance.neighbor_a"]
+        x, graph.neighbor_src, graph.neighbor_dst, params["enhance.neighbor_a"]
     )

@@ -1,14 +1,13 @@
 """Hot numeric kernels: segment aggregation and pairwise L1 distances.
 
-One numpy/scipy path, and the one place that checks segment ids: an id
-outside ``[0, num_segments)`` raises ``IndexError``, a values/ids length
-mismatch ``ValueError``. Zero rows are legal and give an empty or all-zero
-result. A segment sum adds each value row into its segment in input order,
-starting from zero, exactly as ``np.add.at`` does, through a
-column-compressed 0/1 segment matrix (column i holds a single 1 in row
-``ids[i]``, so no sort is needed). Pairwise distances come from scipy's
-``cdist``, which adds one dimension at a time from the first. Every output
-is therefore bitwise reproducible at float64.
+A ``Segments`` checks its ids once, when built: one outside ``[0,
+num_segments)`` raises ``IndexError``. The aggregations check only that
+there is one value row per id (``ValueError``). Zero rows are legal. A
+segment sum adds each value row into its segment in input order, starting
+from zero, exactly as ``np.add.at`` does, through the ``Segments``' column-
+compressed 0/1 matrix (column i holds a single 1 in row ``ids[i]``).
+Pairwise distances come from scipy's ``cdist``, which adds one dimension at
+a time from the first. Every output is therefore bitwise reproducible.
 """
 
 import numpy as np
@@ -16,37 +15,39 @@ from scipy import sparse
 from scipy.spatial.distance import cdist
 
 
-def _segment_ids(values, ids, num_segments, ndims):
-    """``ids`` as int64 after the contract checks against ``values``."""
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise IndexError(f"segment id outside [0, {num_segments})")
-    if values.ndim not in ndims or len(values) != len(ids):
-        raise ValueError(f"expected {len(ids)} value rows, got shape {values.shape}")
-    return ids
+class Segments:
+    """Checked segment ids with their 0/1 segment matrix, built once."""
+
+    def __init__(self, ids, num_segments):
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+            raise IndexError(f"segment id outside [0, {num_segments})")
+        self.ids = ids
+        self.num_segments = num_segments
+        self.matrix = sparse.csc_matrix(
+            (np.ones(len(ids)), ids, np.arange(len(ids) + 1)), shape=(num_segments, len(ids))
+        )
 
 
-def segment_sum(values, ids, num_segments):
-    """Sum rows of `values` into `num_segments` buckets given by `ids`.
+def segment_sum(values, seg):
+    """Sum rows of `values` into the buckets of the ``Segments`` `seg`.
 
     Accepts 1-D or 2-D values; empty segments come back as zero rows.
     Each segment accumulates its rows in input order.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    ids = _segment_ids(values, ids, num_segments, (1, 2))
-    n = len(ids)
-    matrix = sparse.csc_matrix(
-        (np.ones(n), ids, np.arange(n + 1)), shape=(num_segments, n)
-    )
-    return matrix @ values
+    if values.ndim not in (1, 2) or len(values) != len(seg.ids):
+        raise ValueError(f"expected {len(seg.ids)} value rows, got shape {values.shape}")
+    return seg.matrix @ values
 
 
-def segment_max(values, ids, num_segments):
+def segment_max(values, seg):
     """Per-segment maximum of a 1-D array; empty segments give -inf."""
     values = np.asarray(values, dtype=np.float64)
-    ids = _segment_ids(values, ids, num_segments, (1,))
-    out = np.full(num_segments, -np.inf, dtype=np.float64)
-    np.maximum.at(out, ids, values)
+    if values.ndim != 1 or len(values) != len(seg.ids):
+        raise ValueError(f"expected {len(seg.ids)} values, got shape {values.shape}")
+    out = np.full(seg.num_segments, -np.inf, dtype=np.float64)
+    np.maximum.at(out, seg.ids, values)
     return out
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import kernels
+
 
 class DataError(ValueError):
     """Raised for malformed, inconsistent, or missing dataset content."""
@@ -91,13 +93,24 @@ def neighbor_edges(triples):
 
 
 class GraphStructure:
-    """A graph plus the constants every forward pass reads, built once."""
+    """A graph plus the constants every forward pass reads, built once: the
+    ``kernels.Segments`` of the triple columns and of the neighbor edges,
+    and the triple count per relation, which must not be zero."""
 
     def __init__(self, base: KnowledgeGraph):
         self.base = base
-        self.num_entities = base.num_entities
+        n = self.num_entities = base.num_entities
+        heads, rels, tails = base.triples.T
+        self.relation_counts = np.bincount(rels, minlength=base.num_relations)
+        if not self.relation_counts.all():
+            raise DataError(f"relation {int(np.argmin(self.relation_counts))} has no triples")
+        self.heads = kernels.Segments(heads, n)
+        self.rels = kernels.Segments(rels, base.num_relations)
+        self.tails = kernels.Segments(tails, n)
         self.adjacency_norm = build_normalized_adjacency(base)
-        self.neighbor_src, self.neighbor_dst = neighbor_edges(base.triples)
+        src, dst = neighbor_edges(base.triples)
+        self.neighbor_src = kernels.Segments(src, n)
+        self.neighbor_dst = kernels.Segments(dst, n)
 
 
 @dataclass

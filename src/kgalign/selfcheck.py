@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import enhancer, evaluation, kg, structure, training, triples
+from . import enhancer, evaluation, kernels, kg, structure, training, triples
 from . import oracles as naive
 
 FD_TOL = 1e-4
@@ -99,16 +99,16 @@ def _fd_case_left_matmul(rng):
 
 def _fd_case_segment_softmax(rng):
     a = _param(rng, (7,))
-    ids = np.sort(rng.integers(0, 3, size=7))
+    seg = kernels.Segments(np.sort(rng.integers(0, 3, size=7)), 3)
     w = _away_from_zero(rng, (7,))
-    return lambda *_: ad.reduce_sum(ad.segment_softmax(a, ids) * w), [a]
+    return lambda *_: ad.reduce_sum(ad.segment_softmax(a, seg) * w), [a]
 
 
 def _fd_case_segment_sum(rng):
     a = _param(rng, (7, 3))
-    ids = rng.integers(0, 4, size=7)
+    seg = kernels.Segments(rng.integers(0, 4, size=7), 4)
     w = _away_from_zero(rng, (4, 3))
-    return lambda *_: ad.reduce_sum(ad.segment_sum(a, ids, 4) * w), [a]
+    return lambda *_: ad.reduce_sum(ad.segment_sum(a, seg) * w), [a]
 
 
 def _fd_case_structure_encoder(rng):
@@ -127,10 +127,11 @@ def _fd_case_structure_encoder(rng):
 def _fd_case_triple_encoder(rng):
     trips = naive.random_connected_triples(rng, 6, 10, 3)
     x = _param(rng, (6, 4))
+    graph = kg.GraphStructure(kg.KnowledgeGraph(6, 3, trips))
     params = triples.init_triple_params(rng, 4, 3, 2)
 
     def fn(*_):
-        return ad.reduce_sum(triples.encode_triples(x, trips, 3, params))
+        return ad.reduce_sum(triples.encode_triples(x, graph, params))
 
     perturbed = [x, params["triple.head_a"], params["triple.mutual_fwd_a"],
                  params["triple.key_w"], params["triple.type_w"]]
@@ -230,40 +231,42 @@ def _max_abs_diff(got, want):
 
 
 def _oracle_diffs(rng):
-    """Draw one random graph instance and yield (check name, max abs diff)."""
+    """Draw one random graph instance and yield (check name, max abs diff);
+    the library reads its ``kg.GraphStructure``, the oracles its raw ids."""
     n = int(rng.integers(10, 51))
     m = int(rng.integers(n, 201))
     n_rel = int(rng.integers(2, 7))
     d = int(rng.integers(3, 7))
     trips = naive.random_connected_triples(rng, n, m, n_rel)
+    graph = kg.GraphStructure(kg.KnowledgeGraph(n, n_rel, trips))
     heads, rels, tails = trips.T
     m = len(trips)
     x = rng.normal(size=(n, d))
     xt = ad.Tensor(x)
 
     logits = rng.normal(size=m)
-    got = ad.segment_softmax(ad.Tensor(logits), rels).data
+    got = ad.segment_softmax(ad.Tensor(logits), graph.rels).data
     yield "segment_softmax", _max_abs_diff(got, naive.segment_softmax(logits, rels))
 
     vals = rng.normal(size=(m, d))
-    got = ad.segment_sum(ad.Tensor(vals), rels, n_rel).data
+    got = ad.segment_sum(ad.Tensor(vals), graph.rels).data
     yield "segment_sum", _max_abs_diff(got, naive.segment_sum(vals, rels, n_rel))
 
-    got = triples.global_relation(xt, heads, tails, rels, n_rel).data
+    got = triples.global_relation(xt, graph).data
     pair = np.concatenate([x[heads], x[tails]], axis=1)
     yield "global_relation", _max_abs_diff(got, naive.grouped_mean(pair, rels, n_rel))
 
     q, k, v = (rng.normal(size=(m, d)) for _ in range(3))
     a = rng.normal(size=(2 * d, 1))
     got = triples.grouped_attention(
-        ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), rels, n_rel, ad.Tensor(a)
+        ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), graph.rels, ad.Tensor(a)
     ).data
     want = naive.grouped_attention(q, k, v, rels, n_rel, a)
     yield "grouped_attention", _max_abs_diff(got, want)
 
     a2 = rng.normal(size=(2 * d, 1))
     sem_agg, type_agg = triples.mutual_attention(
-        ad.Tensor(q), ad.Tensor(k), rels, n_rel, ad.Tensor(a), ad.Tensor(a2)
+        ad.Tensor(q), ad.Tensor(k), graph.rels, ad.Tensor(a), ad.Tensor(a2)
     )
     want = np.maximum(naive.grouped_attention(q, k, q, rels, n_rel, a), 0.0)
     yield "mutual_attention_fwd", _max_abs_diff(sem_agg.data, want)
@@ -275,16 +278,18 @@ def _oracle_diffs(rng):
     w_proj = rng.normal(size=(width, d))
     a_ent = rng.normal(size=(2 * d, 1))
     proj = t_repr @ w_proj
-    for role, ids in (("head", heads), ("tail", tails)):
+    for role, ids, seg in (("head", heads, graph.heads), ("tail", tails, graph.tails)):
         got = enhancer.attention_enhance(
-            xt, ad.Tensor(t_repr), ids, n, ad.Tensor(w_proj), ad.Tensor(a_ent)
+            xt, ad.Tensor(t_repr), seg, ad.Tensor(w_proj), ad.Tensor(a_ent)
         ).data
         agg = naive.grouped_attention(proj, x[ids], proj, ids, n, a_ent)
         yield f"attention_enhance[{role}]", _max_abs_diff(got, x + np.maximum(agg, 0.0))
 
-    src, dst = kg.neighbor_edges(trips)
+    src, dst = graph.neighbor_src.ids, graph.neighbor_dst.ids
     a_nbr = rng.normal(size=(2 * d, 1))
-    got = enhancer.neighbor_reaggregate(xt, src, dst, n, ad.Tensor(a_nbr)).data
+    got = enhancer.neighbor_reaggregate(
+        xt, graph.neighbor_src, graph.neighbor_dst, ad.Tensor(a_nbr)
+    ).data
     agg = np.maximum(naive.grouped_attention(x[src], x[dst], x[dst], src, n, a_nbr), 0.0)
     yield "neighbor_reaggregate", _max_abs_diff(got, np.concatenate([x, agg], axis=1))
 
@@ -299,7 +304,7 @@ def _oracle_diffs(rng):
                                   np.searchsorted(pool, pairs[:, 1]))
     yield "rank_pairs", _max_abs_diff(got, want)
 
-    dense = kg.build_normalized_adjacency(kg.KnowledgeGraph(n, n_rel, trips)).toarray()
+    dense = graph.adjacency_norm.toarray()
     yield "adjacency_symmetric", _max_abs_diff(dense, dense.T)
     # fixed-vector identity of symmetric normalization: A_hat @ sqrt(d) == sqrt(d)
     sqrt_deg = np.sqrt((dense > 0).sum(axis=1))

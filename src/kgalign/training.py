@@ -9,7 +9,6 @@ pairs grow at each refresh by mutual-nearest cross-graph proposals.
 
 import math
 import numbers
-import time
 import zipfile
 from dataclasses import dataclass, field, fields
 
@@ -200,9 +199,7 @@ def forward(task, params, cfg):
         x = structure.encode_structure(
             params[emb_key], graph.adjacency_norm, params, cfg.gcn_depth
         )
-        triple_repr = triples.encode_triples(
-            x, graph.base.triples, graph.base.num_relations, params, variant=cfg.variant
-        )
+        triple_repr = triples.encode_triples(x, graph, params, variant=cfg.variant)
         final = enhancer.enhance_entities(
             x, triple_repr, graph, params, mode=cfg.cycle_mode,
             skip_cycle=(cfg.variant == "wo-C"),
@@ -350,9 +347,3 @@ def load_checkpoint(path, task, cfg):
         if not np.isfinite(arrays[key]).all():
             raise DataError(f"{path}: parameter {key!r} holds a non-finite value")
     return {key: ad.Tensor(array, requires_grad=True) for key, array in arrays.items()}
-
-
-def timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start

@@ -8,8 +8,6 @@ over each other within each relation group, and the fused result is the
 triple representation consumed downstream.
 """
 
-import numpy as np
-
 from . import autodiff as ad
 
 VARIANTS = ("full", "wo-E", "wo-T", "wo-C")
@@ -35,15 +33,11 @@ def init_triple_params(rng, d_e, d_r, d_t):
     return params
 
 
-def global_relation(x, heads, tails, rel_ids, num_relations):
+def global_relation(x, graph):
     """Mean of (head ‖ tail) embedding pairs over each relation's triples."""
-    counts = np.bincount(rel_ids, minlength=num_relations)
-    if (counts == 0).any():
-        empty = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"global_relation: relation {empty} has no triples")
-    pair = ad.concat(ad.take_rows(x, heads), ad.take_rows(x, tails))
-    total = ad.segment_sum(pair, rel_ids, num_relations)
-    return total * (1.0 / counts)[:, None]
+    pair = ad.concat(ad.take_rows(x, graph.heads), ad.take_rows(x, graph.tails))
+    total = ad.segment_sum(pair, graph.rels)
+    return total * (1.0 / graph.relation_counts)[:, None]
 
 
 def triple_specificity(x, heads, tails, local_w):
@@ -59,39 +53,39 @@ def triple_specificity(x, heads, tails, local_w):
     return ad.concat(x_h, projected, x_t), local
 
 
-def grouped_attention(query, key, value, ids, num_groups, attn_vec):
+def grouped_attention(query, key, value, seg, attn_vec):
     """Softmax-within-group aggregation of ``value`` rows, GAT style.
 
     Logits are ``leaky_relu((query ‖ key) @ attn_vec)``, normalized within
-    each group of ``ids``; a group with no rows gets a zero aggregate. No
-    outer activation is applied: each caller applies its own. Mirrors
+    each group of ``seg``, a ``kernels.Segments``; a group with no rows gets
+    a zero aggregate. Each caller applies its own outer activation. Mirrors
     ``oracles.grouped_attention``.
     """
     logits = ad.reshape(ad.matmul(ad.concat(query, key), attn_vec), (-1,))
-    weights = ad.segment_softmax(ad.leaky_relu(logits), ids)
-    return ad.segment_sum(ad.reshape(weights, (-1, 1)) * value, ids, num_groups)
+    weights = ad.segment_softmax(ad.leaky_relu(logits), seg)
+    return ad.segment_sum(ad.reshape(weights, (-1, 1)) * value, seg)
 
 
-def semantic_triple(x, heads, rels, tails, num_relations, params, with_attention=True):
+def semantic_triple(x, graph, params, with_attention=True):
     """Per-triple semantic representation: attention aggregates + specificity.
 
     With ``with_attention`` off, only the projected specificity survives.
     """
-    specificity, local = triple_specificity(x, heads, tails, params["triple.local_w"])
+    specificity, local = triple_specificity(x, graph.heads, graph.tails, params["triple.local_w"])
     key = ad.matmul(specificity, params["triple.key_w"])
     if not with_attention:
         return key
 
     def role_aware(query, attn_vec):
-        agg = grouped_attention(query, key, query, rels, num_relations, attn_vec)
-        return ad.take_rows(ad.leaky_relu(agg), rels)
+        agg = grouped_attention(query, key, query, graph.rels, attn_vec)
+        return ad.take_rows(ad.leaky_relu(agg), graph.rels)
 
-    rel_global = global_relation(x, heads, tails, rels, num_relations)
-    q_head = ad.matmul(ad.take_rows(x, heads), params["triple.head_w"])
+    rel_global = global_relation(x, graph)
+    q_head = ad.matmul(ad.take_rows(x, graph.heads), params["triple.head_w"])
     head_agg = role_aware(q_head, params["triple.head_a"])
-    q_tail = ad.matmul(ad.take_rows(x, tails), params["triple.tail_w"])
+    q_tail = ad.matmul(ad.take_rows(x, graph.tails), params["triple.tail_w"])
     tail_agg = role_aware(q_tail, params["triple.tail_a"])
-    q_rel = ad.matmul(ad.take_rows(rel_global, rels), params["triple.global_w"]) + ad.matmul(
+    q_rel = ad.matmul(ad.take_rows(rel_global, graph.rels), params["triple.global_w"]) + ad.matmul(
         local, params["triple.local_w"]
     )
     rel_agg = role_aware(q_rel, params["triple.rel_a"])
@@ -103,42 +97,42 @@ def type_projection(x, type_w, type_b):
     return ad.tanh(ad.matmul(x, type_w) + type_b)
 
 
-def type_triple(x_type, heads, rels, tails, num_relations, type_rel_w):
+def type_triple(x_type, graph, type_rel_w):
     """Type-space triple construction mirroring the semantic specificity.
 
     Returns the per-relation global type vector and the per-triple type
     triple (head ‖ projected relation ‖ tail), where the relation part sums
     the global vector with the local (head ‖ tail) type pair.
     """
-    rel_type_global = global_relation(x_type, heads, tails, rels, num_relations)
-    xt_h = ad.take_rows(x_type, heads)
-    xt_t = ad.take_rows(x_type, tails)
+    rel_type_global = global_relation(x_type, graph)
+    xt_h = ad.take_rows(x_type, graph.heads)
+    xt_t = ad.take_rows(x_type, graph.tails)
     local = ad.concat(xt_h, xt_t)
-    rel_local = ad.take_rows(rel_type_global, rels) + local
+    rel_local = ad.take_rows(rel_type_global, graph.rels) + local
     projected = ad.matmul(rel_local, type_rel_w)
     return rel_type_global, ad.concat(xt_h, projected, xt_t)
 
 
-def mutual_attention(sem, type_proj, rel_ids, num_relations, fwd_a, rev_a):
+def mutual_attention(sem, type_proj, rels, fwd_a, rev_a):
     """Cross-view attention between semantic and type triples per relation.
 
     The forward direction scores (semantic ‖ type) and aggregates semantic
     values; the reverse direction swaps the roles and aggregates type values.
     """
-    sem_agg = grouped_attention(sem, type_proj, sem, rel_ids, num_relations, fwd_a)
-    type_agg = grouped_attention(type_proj, sem, type_proj, rel_ids, num_relations, rev_a)
+    sem_agg = grouped_attention(sem, type_proj, sem, rels, fwd_a)
+    type_agg = grouped_attention(type_proj, sem, type_proj, rels, rev_a)
     return ad.relu(sem_agg), ad.relu(type_agg)
 
 
-def fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rel_ids):
+def fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rels):
     """Sum the per-triple terms and append the relation-level type vector."""
     fused = (
         sem
-        + ad.take_rows(type_agg, rel_ids)
+        + ad.take_rows(type_agg, rels)
         + type_proj
-        + ad.take_rows(sem_agg, rel_ids)
+        + ad.take_rows(sem_agg, rels)
     )
-    return ad.concat(fused, ad.take_rows(rel_type_global, rel_ids))
+    return ad.concat(fused, ad.take_rows(rel_type_global, rels))
 
 
 def triple_width(variant, d_r, d_t):
@@ -147,7 +141,7 @@ def triple_width(variant, d_r, d_t):
     return d_r if variant == "wo-T" else d_r + 2 * d_t
 
 
-def encode_triples(x, triples, num_relations, params, variant="full"):
+def encode_triples(x, graph, params, variant="full"):
     """Full triple-encoding pass for one graph; variant selects ablations.
 
     Returns the per-triple representations, ``triple_width(variant, d_r,
@@ -155,21 +149,15 @@ def encode_triples(x, triples, num_relations, params, variant="full"):
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
 
-    sem = semantic_triple(
-        x, heads, rels, tails, num_relations, params, with_attention=(variant != "wo-E")
-    )
+    sem = semantic_triple(x, graph, params, with_attention=(variant != "wo-E"))
     if variant == "wo-T":
         return sem
 
     x_type = type_projection(x, params["triple.type_w"], params["triple.type_b"])
-    rel_type_global, type_spec = type_triple(
-        x_type, heads, rels, tails, num_relations, params["triple.type_rel_w"]
-    )
+    rel_type_global, type_spec = type_triple(x_type, graph, params["triple.type_rel_w"])
     type_proj = ad.matmul(type_spec, params["triple.type_key_w"])
     sem_agg, type_agg = mutual_attention(
-        sem, type_proj, rels, num_relations,
-        params["triple.mutual_fwd_a"], params["triple.mutual_rev_a"],
+        sem, type_proj, graph.rels, params["triple.mutual_fwd_a"], params["triple.mutual_rev_a"]
     )
-    return fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rels)
+    return fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, graph.rels)

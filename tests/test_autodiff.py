@@ -7,6 +7,7 @@ import pytest
 
 from kgalign import autodiff as ad
 from kgalign import kg, training
+from kgalign.kernels import Segments
 from kgalign.training import TrainConfig
 from kgalign import oracles as naive
 
@@ -112,19 +113,19 @@ def test_concat_leading_shape_mismatch():
 
 
 def test_segment_softmax_uniform_for_equal_logits():
-    out = ad.segment_softmax(ad.Tensor([0.0, 0.0, 0.0]), [0, 0, 0])
+    out = ad.segment_softmax(ad.Tensor([0.0, 0.0, 0.0]), Segments([0, 0, 0], 1))
     np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_segment_softmax_singleton():
-    out = ad.segment_softmax(ad.Tensor([5.0]), [0])
+    out = ad.segment_softmax(ad.Tensor([5.0]), Segments([0], 1))
     np.testing.assert_array_equal(out.data, [1.0])
 
 
 def test_segment_softmax_two_elements():
     # direct evaluation of the two-element softmax
     expect = [1.0 / (1.0 + math.e), math.e / (1.0 + math.e)]
-    out = ad.segment_softmax(ad.Tensor([1.0, 2.0]), [0, 0])
+    out = ad.segment_softmax(ad.Tensor([1.0, 2.0]), Segments([0, 0], 1))
     np.testing.assert_allclose(out.data, expect, rtol=1e-15)
     assert abs(out.data[0] - 0.2689) < 1e-4 and abs(out.data[1] - 0.7311) < 1e-4
 
@@ -133,7 +134,7 @@ def test_segment_softmax_sums_to_one_and_positive(rng):
     for _ in range(20):
         logits = rng.normal(size=25) * rng.uniform(0.5, 50)
         ids = rng.integers(0, 5, size=25)
-        out = ad.segment_softmax(ad.Tensor(logits), ids).data
+        out = ad.segment_softmax(ad.Tensor(logits), Segments(ids, 5)).data
         assert (out > 0).all() and (out <= 1).all()
         sums = np.zeros(5)
         np.add.at(sums, ids, out)
@@ -144,49 +145,49 @@ def test_segment_softmax_sums_to_one_and_positive(rng):
 def test_segment_softmax_shift_invariance(rng):
     logits = rng.normal(size=12)
     ids = rng.integers(0, 3, size=12)
-    base = ad.segment_softmax(ad.Tensor(logits), ids).data
+    base = ad.segment_softmax(ad.Tensor(logits), Segments(ids, 3)).data
     shifted = logits + np.array([100.0, -250.0, 1000.0])[ids]
-    out = ad.segment_softmax(ad.Tensor(shifted), ids).data
+    out = ad.segment_softmax(ad.Tensor(shifted), Segments(ids, 3)).data
     np.testing.assert_allclose(out, base, atol=1e-12)
 
 
 def test_segment_softmax_matches_naive(rng):
     logits = rng.normal(size=30)
     ids = rng.integers(0, 6, size=30)
-    out = ad.segment_softmax(ad.Tensor(logits), ids).data
+    out = ad.segment_softmax(ad.Tensor(logits), Segments(ids, 6)).data
     np.testing.assert_allclose(out, naive.segment_softmax(logits, ids), atol=1e-12)
 
 
 def test_segment_softmax_empty_and_bad_ids():
-    assert ad.segment_softmax(ad.Tensor(np.zeros(0)), []).data.shape == (0,)
+    assert ad.segment_softmax(ad.Tensor(np.zeros(0)), Segments([], 0)).data.shape == (0,)
     with pytest.raises(IndexError):
-        ad.segment_softmax(ad.Tensor([1.0, 2.0]), [0, -1])
+        ad.segment_softmax(ad.Tensor([1.0, 2.0]), Segments([0, -1], 1))
 
 
 # -------------------------------------------------------------- segment sum
 
 
 def test_segment_sum_example():
-    out = ad.segment_sum(ad.Tensor([[1.0], [2.0], [3.0]]), [0, 0, 1], 2)
+    out = ad.segment_sum(ad.Tensor([[1.0], [2.0], [3.0]]), Segments([0, 0, 1], 2))
     np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
 
 
 def test_segment_sum_all_one_segment(rng):
     values = rng.normal(size=(8, 3))
-    out = ad.segment_sum(ad.Tensor(values), np.zeros(8, dtype=int), 1)
+    out = ad.segment_sum(ad.Tensor(values), Segments(np.zeros(8, dtype=int), 1))
     np.testing.assert_allclose(out.data, values.sum(axis=0, keepdims=True), atol=1e-12)
 
 
 def test_segment_sum_matches_naive_exactly(rng):
     values = rng.normal(size=(10, 4))
     ids = rng.integers(0, 3, size=10)
-    out = ad.segment_sum(ad.Tensor(values), ids, 3)
+    out = ad.segment_sum(ad.Tensor(values), Segments(ids, 3))
     np.testing.assert_array_equal(out.data, naive.segment_sum(values, ids, 3))
 
 
 def test_segment_sum_id_out_of_range():
     with pytest.raises(IndexError):
-        ad.segment_sum(ad.Tensor(np.ones((2, 2))), [0, 5], 3)
+        ad.segment_sum(ad.Tensor(np.ones((2, 2))), Segments([0, 5], 3))
 
 
 # -------------------------------------------------------------- elementwise
@@ -202,8 +203,8 @@ def test_tanh_at_zero():
 
 
 def test_leaky_relu_definition():
-    assert ad.leaky_relu(ad.Tensor(-10.0), slope=0.3).data == -3.0
-    assert ad.leaky_relu(ad.Tensor(4.0), slope=0.3).data == 4.0
+    assert ad.leaky_relu(ad.Tensor(-10.0)).data == -3.0
+    assert ad.leaky_relu(ad.Tensor(4.0)).data == 4.0
 
 
 def test_broadcast_add_bias():
@@ -217,7 +218,7 @@ def test_incompatible_broadcast_raises():
 
 
 @pytest.mark.parametrize("op", [ad.relu, ad.tanh, ad.sigmoid, ad.absval,
-                                lambda t: ad.leaky_relu(t, 0.25)])
+                                lambda t: ad.leaky_relu(t)])
 def test_elementwise_gradients(op, rng):
     x = ad.Tensor(rng.uniform(0.2, 1.5, size=(4, 3)) * rng.choice([-1, 1], size=(4, 3)),
                   requires_grad=True)
@@ -339,7 +340,7 @@ _INPUT_RETENTION = {
     "concat": (lambda x, o: ad.concat(x, o), False),
     "reshape": (lambda x, o: ad.reshape(x, (-1,)), False),
     "take_rows": (lambda x, o: ad.take_rows(x, [0, 2, 2]), False),
-    "segment_sum": (lambda x, o: ad.segment_sum(x, [0, 1, 0], 2), False),
+    "segment_sum": (lambda x, o: ad.segment_sum(x, Segments([0, 1, 0], 2)), False),
     "relu": (lambda x, o: ad.relu(x), False),
     "leaky_relu": (lambda x, o: ad.leaky_relu(x), False),
     "reduce_sum": (lambda x, o: ad.reduce_sum(x, axis=0), False),
@@ -405,6 +406,24 @@ def test_taped_forward_retains_at_most_40_percent_of_keeping_copies():
         tracemalloc.stop()
     assert retained <= 0.4 * _RETAINED_KEEPING_COPIES
     tape.backward(loss)
+
+
+def test_concat_rebuild_holds_one_rebuilt_part_at_a_time(rng):
+    source = ad.Tensor(rng.normal(size=(500, 40)), requires_grad=True)
+    rows = rng.integers(0, 500, size=3000)
+    with ad.Tape():
+        joined = ad.concat(*(ad.take_rows(source, rows) for _ in range(3)))
+    part_bytes = joined.data.nbytes // 3
+    rebuild = ad._saved(joined)
+    tracemalloc.start()
+    try:
+        rebuilt = rebuild()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(rebuilt, joined.data)
+    # the joined copy plus one rebuilt part; all three parts would add 2 more
+    assert peak < joined.data.nbytes + 1.5 * part_bytes
 
 
 def test_backward_empty_tape_errors():
@@ -495,11 +514,11 @@ def test_gradient_suite_randomized(rng):
         x = ad.Tensor(rng.uniform(0.2, 1.0, size=(4, 3)) * rng.choice([-1, 1], (4, 3)),
                       requires_grad=True)
         w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        ids = rng.integers(0, 3, size=4)
+        seg = Segments(rng.integers(0, 3, size=4), 3)
 
         def fn(*_):
-            h = ad.leaky_relu(ad.matmul(x, w), 0.3)
-            s = ad.segment_sum(h, ids, 3)
+            h = ad.leaky_relu(ad.matmul(x, w))
+            s = ad.segment_sum(h, seg)
             return ad.reduce_sum(ad.sigmoid(s) * ad.tanh(s))
 
         assert ad.fd_check(fn, [x, w]) < 1e-4

@@ -4,6 +4,7 @@ import pytest
 from kgalign import autodiff as ad
 from kgalign import enhancer, kg
 from kgalign import oracles as naive
+from kgalign.kernels import Segments
 
 
 def make_instance(rng, n=10, m=20, n_rel=3, d_e=4, width=5):
@@ -27,7 +28,7 @@ def test_entity_without_triples_is_bitwise_unchanged(rng):
     w = ad.Tensor(rng.normal(size=(5, 3)))
     a = ad.Tensor(rng.normal(size=(6, 1)))
     out = enhancer.attention_enhance(ad.Tensor(x), ad.Tensor(t_repr),
-                                     np.array([0, 1]), 4, w, a).data
+                                     Segments([0, 1], 4), w, a).data
     # entities 2 and 3 head nothing
     assert (out[2] == x[2]).all() and (out[3] == x[3]).all()
 
@@ -38,7 +39,7 @@ def test_singleton_head_group_residual(rng):
     w = rng.normal(size=(4, 3))
     a = rng.normal(size=(6, 1))
     out = enhancer.attention_enhance(ad.Tensor(x), ad.Tensor(t_repr),
-                                     np.array([0]), 2, ad.Tensor(w), ad.Tensor(a)).data
+                                     Segments([0], 2), ad.Tensor(w), ad.Tensor(a)).data
     want = x.copy()
     want[0] = x[0] + np.maximum(t_repr[0] @ w, 0.0)
     np.testing.assert_allclose(out, want, atol=1e-12)
@@ -48,8 +49,9 @@ def test_singleton_head_group_residual(rng):
 def test_attention_enhance_matches_naive(rng, role, column):
     x, trips, t_repr, params = make_instance(rng)
     ids = trips[:, column]
+    seg = getattr(structure_of(trips, 10), f"{role}s")
     w, a = params[f"enhance.{role}_w"], params[f"enhance.{role}_a"]
-    got = enhancer.attention_enhance(ad.Tensor(x), ad.Tensor(t_repr), ids, 10, w, a).data
+    got = enhancer.attention_enhance(ad.Tensor(x), ad.Tensor(t_repr), seg, w, a).data
     proj = t_repr @ w.data
     agg = naive.grouped_attention(proj, x[ids], proj, ids, 10, a.data)
     np.testing.assert_allclose(got, x + np.maximum(agg, 0.0), atol=1e-10)
@@ -59,7 +61,7 @@ def test_residual_change_localized_to_touched_entities(rng):
     x, trips, t_repr, params = make_instance(rng)
     heads = set(trips[:, 0].tolist())
     got = enhancer.attention_enhance(
-        ad.Tensor(x), ad.Tensor(t_repr), trips[:, 0], 10,
+        ad.Tensor(x), ad.Tensor(t_repr), structure_of(trips, 10).heads,
         params["enhance.head_w"], params["enhance.head_a"],
     ).data
     for e in range(10):
@@ -72,16 +74,16 @@ def test_residual_change_localized_to_touched_entities(rng):
 
 def test_cycle_mode1_is_prefix_of_mode2(rng):
     x, trips, t_repr, params = make_instance(rng)
-    heads, tails = trips[:, 0], trips[:, 2]
+    graph = structure_of(trips, 10)
     xt = ad.Tensor(x)
     tr = ad.Tensor(t_repr)
-    mode1 = enhancer.cycle_co_enhance(xt, tr, heads, tails, 10, params, mode=1).data
+    mode1 = enhancer.cycle_co_enhance(xt, tr, graph, params, mode=1).data
     # replaying head on top of mode1's output reproduces mode2
     manual = enhancer.attention_enhance(
-        ad.Tensor(mode1), tr, heads, 10,
+        ad.Tensor(mode1), tr, graph.heads,
         params["enhance.head_w"], params["enhance.head_a"],
     ).data
-    mode2 = enhancer.cycle_co_enhance(xt, tr, heads, tails, 10, params, mode=2).data
+    mode2 = enhancer.cycle_co_enhance(xt, tr, graph, params, mode=2).data
     np.testing.assert_allclose(mode2, manual, atol=1e-12)
 
 
@@ -91,9 +93,9 @@ def test_cycle_modes_differ_on_nondegenerate_chain(rng):
     x = rng.normal(size=(3, 4))
     t_repr = rng.normal(size=(2, 5))
     params = enhancer.init_enhancer_params(np.random.default_rng(1), 4, 5)
-    xt, tr = ad.Tensor(x), ad.Tensor(t_repr)
-    m1 = enhancer.cycle_co_enhance(xt, tr, trips[:, 0], trips[:, 2], 3, params, mode=1).data
-    m2 = enhancer.cycle_co_enhance(xt, tr, trips[:, 0], trips[:, 2], 3, params, mode=2).data
+    xt, tr, graph = ad.Tensor(x), ad.Tensor(t_repr), structure_of(trips, 3)
+    m1 = enhancer.cycle_co_enhance(xt, tr, graph, params, mode=1).data
+    m2 = enhancer.cycle_co_enhance(xt, tr, graph, params, mode=2).data
     assert not np.allclose(m1, m2)
 
 
@@ -101,7 +103,7 @@ def test_cycle_invalid_mode(rng):
     x, trips, t_repr, params = make_instance(rng)
     with pytest.raises(ValueError):
         enhancer.cycle_co_enhance(ad.Tensor(x), ad.Tensor(t_repr),
-                                  trips[:, 0], trips[:, 2], 10, params, mode=4)
+                                  structure_of(trips, 10), params, mode=4)
 
 
 # ----------------------------------------------------------- neighbor layer
@@ -117,8 +119,8 @@ def test_neighbor_edges_undirected_unique_sorted():
 def test_neighbor_single_neighbor(rng):
     x = rng.normal(size=(2, 3))
     a = rng.normal(size=(6, 1))
-    src, dst = np.array([0, 1]), np.array([1, 0])
-    out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, 2, ad.Tensor(a)).data
+    src, dst = Segments([0, 1], 2), Segments([1, 0], 2)
+    out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, ad.Tensor(a)).data
     np.testing.assert_allclose(out[0], np.concatenate([x[0], np.maximum(x[1], 0)]), atol=1e-12)
     np.testing.assert_allclose(out[1], np.concatenate([x[1], np.maximum(x[0], 0)]), atol=1e-12)
 
@@ -126,10 +128,10 @@ def test_neighbor_single_neighbor(rng):
 def test_neighbor_identical_neighbors_aggregate_to_relu_v(rng):
     v = rng.normal(size=3)
     x = np.vstack([rng.normal(size=3), v, v, v])
-    src = np.array([0, 0, 0])
-    dst = np.array([1, 2, 3])
+    src = Segments([0, 0, 0], 4)
+    dst = Segments([1, 2, 3], 4)
     a = rng.normal(size=(6, 1))
-    out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, 4, ad.Tensor(a)).data
+    out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, ad.Tensor(a)).data
     np.testing.assert_allclose(out[0, 3:], np.maximum(v, 0.0), atol=1e-12)
 
 
@@ -139,7 +141,9 @@ def test_neighbor_star_matches_naive(rng):
     trips = np.array([[0, 0, i] for i in range(1, 5)], dtype=np.int64)
     src, dst = kg.neighbor_edges(trips)
     a = rng.normal(size=(6, 1))
-    out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, 5, ad.Tensor(a)).data
+    out = enhancer.neighbor_reaggregate(
+        ad.Tensor(x), Segments(src, 5), Segments(dst, 5), ad.Tensor(a)
+    ).data
     agg = naive.grouped_attention(x[src], x[dst], x[dst], src, 5, a)
     np.testing.assert_allclose(out, np.concatenate([x, np.maximum(agg, 0.0)], axis=1),
                                atol=1e-10)
@@ -151,15 +155,17 @@ def test_empty_neighborhood_gets_zero_block(rng):
     x = rng.normal(size=(3, 3))
     src, dst = kg.neighbor_edges(trips)
     a = rng.normal(size=(6, 1))
-    out = enhancer.neighbor_reaggregate(ad.Tensor(x), src, dst, 3, ad.Tensor(a)).data
+    out = enhancer.neighbor_reaggregate(
+        ad.Tensor(x), Segments(src, 3), Segments(dst, 3), ad.Tensor(a)
+    ).data
     assert (out[0, 3:] == 0.0).all()
 
 
 def test_no_neighbor_edges_gives_zero_block_and_identity_gradient(rng):
-    empty = np.zeros(0, dtype=np.int64)
+    empty = Segments([], 2)
     x = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     with ad.Tape() as tape:
-        out = enhancer.neighbor_reaggregate(x, empty, empty, 2, ad.Tensor(rng.normal(size=(6, 1))))
+        out = enhancer.neighbor_reaggregate(x, empty, empty, ad.Tensor(rng.normal(size=(6, 1))))
         loss = ad.reduce_sum(out)
     np.testing.assert_array_equal(out.data, np.concatenate([x.data, np.zeros((2, 3))], axis=1))
     tape.backward(loss)
@@ -189,7 +195,7 @@ def test_attention_weights_per_entity_sum_to_one(rng):
     proj = t_repr @ params["enhance.head_w"].data
     logits = np.concatenate([proj, x[heads]], axis=1) @ params["enhance.head_a"].data
     weights = ad.segment_softmax(
-        ad.leaky_relu(ad.Tensor(logits.reshape(-1)), 0.3), heads
+        ad.leaky_relu(ad.Tensor(logits.reshape(-1))), Segments(heads, 10)
     ).data
     sums = np.zeros(10)
     np.add.at(sums, heads, weights)

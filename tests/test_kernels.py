@@ -11,20 +11,20 @@ from kgalign import oracles as naive
 def test_segment_sum_matches_naive_loop(rng):
     values = rng.normal(size=(40, 6))
     ids = rng.integers(0, 7, size=40)
-    got = kernels.segment_sum(values, ids, 7)
+    got = kernels.segment_sum(values, kernels.Segments(ids, 7))
     np.testing.assert_array_equal(got, naive.segment_sum(values, ids, 7))
 
 
 def test_segment_sum_1d_and_empty_segments():
     values = np.array([1.0, 2.0, 3.0])
-    out = kernels.segment_sum(values, [0, 0, 3], 5)
+    out = kernels.segment_sum(values, kernels.Segments([0, 0, 3], 5))
     np.testing.assert_array_equal(out, [3.0, 0.0, 0.0, 3.0, 0.0])
 
 
 def test_segment_max(rng):
     values = rng.normal(size=30)
     ids = rng.integers(0, 4, size=30)
-    got = kernels.segment_max(values, ids, 5)
+    got = kernels.segment_max(values, kernels.Segments(ids, 5))
     for seg in range(4):
         members = values[ids == seg]
         expected = members.max() if members.size else -np.inf
@@ -35,15 +35,33 @@ def test_segment_max(rng):
 def test_segment_max_rejects_length_mismatch():
     # a length-1 values array must not broadcast over the ids
     with pytest.raises(ValueError):
-        kernels.segment_max(np.ones(1), [0, 1, 1], 2)
+        kernels.segment_max(np.ones(1), kernels.Segments([0, 1, 1], 2))
 
 
+# segment ids are checked once, when their Segments is built
 @pytest.mark.parametrize("ids", [[0, 3, 1], [0, -1, 1]])
 @pytest.mark.parametrize("width", [None, 2])
 def test_segment_sum_rejects_ids_outside_segments(ids, width):
     values = np.ones(3) if width is None else np.ones((3, width))
     with pytest.raises(IndexError):
-        kernels.segment_sum(values, ids, 3)
+        kernels.segment_sum(values, kernels.Segments(ids, 3))
+
+
+@pytest.mark.parametrize("op, shape, empty", [(kernels.segment_sum, (0, 2), 0.0),
+                                              (kernels.segment_sum, (0,), 0.0),
+                                              (kernels.segment_max, (0,), -np.inf)])
+def test_segments_with_zero_rows_are_legal(op, shape, empty):
+    out = op(np.zeros(shape), kernels.Segments([], 3))
+    np.testing.assert_array_equal(out, np.full((3,) + shape[1:], empty))
+
+
+@pytest.mark.parametrize("op, shape", [(kernels.segment_sum, (2, 4)),
+                                       (kernels.segment_sum, (4,)),
+                                       (kernels.segment_sum, (3, 2, 1)),
+                                       (kernels.segment_max, (3, 1))])
+def test_segment_ops_reject_values_not_one_row_per_id(op, shape):
+    with pytest.raises(ValueError):
+        op(np.ones(shape), kernels.Segments([0, 2, 2], 3))
 
 
 def test_pairwise_manhattan_matches_direct(rng):
@@ -91,7 +109,8 @@ def segment_layouts(draw):
 @given(segment_layouts())
 def test_segment_sum_bitwise_equals_naive_oracle(layout):
     values, ids, num_segments = layout
-    got = kernels.segment_sum(values, ids, num_segments)
+    seg = kernels.Segments(ids, num_segments)
+    got = kernels.segment_sum(values, seg)
     np.testing.assert_array_equal(got, naive.segment_sum(values, ids, num_segments))
-    got_1d = kernels.segment_sum(values[:, 0], ids, num_segments)
+    got_1d = kernels.segment_sum(values[:, 0], seg)
     np.testing.assert_array_equal(got_1d, naive.segment_sum(values[:, 0], ids, num_segments)[:, 0])

@@ -51,9 +51,24 @@ def test_graph_structure_holds_base_adjacency_and_neighbors():
     want = kg.build_normalized_adjacency(base)
     assert (graph.adjacency_norm != want).nnz == 0
     # the self-loop (3, 1, 3) has no neighbor entry
-    assert list(zip(graph.neighbor_src.tolist(), graph.neighbor_dst.tolist())) == [
+    assert list(zip(graph.neighbor_src.ids.tolist(), graph.neighbor_dst.ids.tolist())) == [
         (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)
     ]
+    for name, column, count in (("heads", 0, 4), ("rels", 1, 2), ("tails", 2, 4)):
+        seg = getattr(graph, name)
+        assert seg.ids.tolist() == base.triples[:, column].tolist()
+        assert seg.num_segments == count
+    assert graph.neighbor_src.num_segments == graph.neighbor_dst.num_segments == 4
+    assert graph.relation_counts.tolist() == [2, 2]
+
+
+def test_graph_structure_rejects_empty_relation():
+    # a relation no triple uses has no mean; this is found when the graph is
+    # built, for an inner and for a trailing relation id
+    for (r1, r2), empty in (((0, 2), 1), ((0, 1), 2)):
+        base = kg.KnowledgeGraph(3, 3, np.array([[0, r1, 1], [1, r2, 2]]))
+        with pytest.raises(DataError, match=f"relation {empty} has no triples"):
+            kg.GraphStructure(base)
 
 
 # --------------------------------------------------------------- adjacency
@@ -151,8 +166,8 @@ def test_save_load_round_trip_is_bitwise_on_fuzzed_tasks(train_ratio, rng_seed, 
         assert got.base.num_relations == want.base.num_relations
         assert got.base.entity_names == want.base.entity_names
         np.testing.assert_array_equal(got.adjacency_norm.toarray(), want.adjacency_norm.toarray())
-        np.testing.assert_array_equal(got.neighbor_src, want.neighbor_src)
-        np.testing.assert_array_equal(got.neighbor_dst, want.neighbor_dst)
+        for name in ("heads", "rels", "tails", "neighbor_src", "neighbor_dst"):
+            np.testing.assert_array_equal(getattr(got, name).ids, getattr(want, name).ids)
     np.testing.assert_array_equal(loaded.seeds_train, task.seeds_train)
     np.testing.assert_array_equal(loaded.seeds_test, task.seeds_test)
     np.testing.assert_array_equal(loaded.init_emb1, task.init_emb1)

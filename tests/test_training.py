@@ -420,6 +420,26 @@ def test_graph_constants_built_once_per_graph_not_per_forward(monkeypatch, semi)
     assert calls == {"neighbor_edges": 2, "build_normalized_adjacency": 2}
 
 
+def test_taped_forward_and_backward_build_no_segments(monkeypatch, small_task):
+    # segment ids are checked and indexed once per graph, in GraphStructure
+    cfg = TrainConfig(d_r=4, d_t=4)
+    params = training.init_params(small_task, cfg, np.random.default_rng(0))
+    built = []
+    real_init = kernels.Segments.__init__
+
+    def counting(self, ids, num_segments):
+        built.append(num_segments)
+        real_init(self, ids, num_segments)
+
+    monkeypatch.setattr(kernels.Segments, "__init__", counting)
+    with ad.Tape() as tape:
+        f1, f2 = training.forward(small_task, params, cfg)
+        loss = ad.reduce_sum(f1) + ad.reduce_sum(f2)
+    tape.backward(loss)
+    assert built == []
+    assert all(params[key].grad is not None for key in ("emb1", "emb2", "triple.rel_a"))
+
+
 # sha256 over final_emb1 then final_emb2 bytes, recorded from the per-row
 # sort search side with a separate untaped pass at each refresh; any change
 # to summation order, tie-breaking or which pass feeds the search moves it

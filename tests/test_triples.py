@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
-from kgalign import triples
+from kgalign import kg, triples
 from kgalign import oracles as naive
+from kgalign.kernels import Segments
 
 
 def make_instance(rng, n=12, m=30, n_rel=4, d_e=5):
@@ -12,24 +13,25 @@ def make_instance(rng, n=12, m=30, n_rel=4, d_e=5):
     return x, trips
 
 
+def graph_of(trips, n):
+    trips = np.asarray(trips, dtype=np.int64)
+    return kg.GraphStructure(kg.KnowledgeGraph(n, int(trips[:, 1].max()) + 1, trips))
+
+
 # ----------------------------------------------------------- global relation
 
 
 def test_global_relation_single_triple_per_relation(rng):
     x = rng.normal(size=(4, 3))
-    heads = np.array([0, 2])
-    tails = np.array([1, 3])
-    rels = np.array([0, 1])
-    out = triples.global_relation(ad.Tensor(x), heads, tails, rels, 2).data
+    graph = graph_of([[0, 0, 1], [2, 1, 3]], 4)
+    out = triples.global_relation(ad.Tensor(x), graph).data
     np.testing.assert_array_equal(out[0], np.concatenate([x[0], x[1]]))
     np.testing.assert_array_equal(out[1], np.concatenate([x[2], x[3]]))
 
 
 def test_global_relation_swapped_pair_mean(rng):
     x = rng.normal(size=(2, 3))
-    out = triples.global_relation(
-        ad.Tensor(x), np.array([0, 1]), np.array([1, 0]), np.array([0, 0]), 1
-    ).data
+    out = triples.global_relation(ad.Tensor(x), graph_of([[0, 0, 1], [1, 0, 0]], 2)).data
     u, v = x[0], x[1]
     want = (np.concatenate([u, v]) + np.concatenate([v, u])) / 2.0
     np.testing.assert_allclose(out[0], want, atol=1e-15)
@@ -39,15 +41,9 @@ def test_global_relation_matches_naive_mean(rng):
     x, trips = make_instance(rng, m=50)
     heads, rels, tails = trips.T
     n_rel = int(rels.max()) + 1
-    out = triples.global_relation(ad.Tensor(x), heads, tails, rels, n_rel).data
+    out = triples.global_relation(ad.Tensor(x), graph_of(trips, len(x))).data
     pair = np.concatenate([x[heads], x[tails]], axis=1)
     np.testing.assert_allclose(out, naive.grouped_mean(pair, rels, n_rel), atol=1e-12)
-
-
-def test_global_relation_empty_relation_errors(rng):
-    x = rng.normal(size=(2, 3))
-    with pytest.raises(ValueError, match="relation 1"):
-        triples.global_relation(ad.Tensor(x), [0], [1], [0], 2)
 
 
 # ------------------------------------------------------------- specificity
@@ -85,7 +81,7 @@ def test_attention_singleton_group(rng):
     k = rng.normal(size=(1, 4))
     a = rng.normal(size=(8, 1))
     out = triples.grouped_attention(
-        ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), [0], 1, ad.Tensor(a)
+        ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), Segments([0], 1), ad.Tensor(a)
     ).data
     np.testing.assert_allclose(out, q, atol=1e-12)
 
@@ -95,10 +91,10 @@ def test_attention_duplicated_identical_triples(rng):
     k = np.tile(rng.normal(size=(1, 4)), (5, 1))
     a = rng.normal(size=(8, 1))
     dup = triples.grouped_attention(
-        ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), [0] * 5, 1, ad.Tensor(a)
+        ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), Segments([0] * 5, 1), ad.Tensor(a)
     ).data
     single = triples.grouped_attention(
-        ad.Tensor(q[:1]), ad.Tensor(k[:1]), ad.Tensor(q[:1]), [0], 1, ad.Tensor(a)
+        ad.Tensor(q[:1]), ad.Tensor(k[:1]), ad.Tensor(q[:1]), Segments([0], 1), ad.Tensor(a)
     ).data
     np.testing.assert_allclose(dup, single, atol=1e-12)
 
@@ -107,7 +103,7 @@ def test_attention_weights_sum_to_one(rng):
     m = 30
     rels = rng.integers(0, 4, size=m)
     logits = rng.normal(size=m)
-    weights = ad.segment_softmax(ad.Tensor(logits), rels).data
+    weights = ad.segment_softmax(ad.Tensor(logits), Segments(rels, 4)).data
     sums = np.zeros(4)
     np.add.at(sums, rels, weights)
     np.testing.assert_allclose(sums[np.unique(rels)], 1.0, atol=1e-9)
@@ -117,17 +113,9 @@ def test_attention_empty_group_is_zero_row(rng):
     q = rng.normal(size=(2, 3))
     a = rng.normal(size=(6, 1))
     out = triples.grouped_attention(
-        ad.Tensor(q), ad.Tensor(q), ad.Tensor(q), [0, 0], 2, ad.Tensor(a)
+        ad.Tensor(q), ad.Tensor(q), ad.Tensor(q), Segments([0, 0], 2), ad.Tensor(a)
     ).data
     np.testing.assert_array_equal(out[1], np.zeros(3))
-
-
-def test_encode_empty_relation_errors(rng):
-    x, trips = make_instance(rng, n_rel=2)
-    params = triples.init_triple_params(np.random.default_rng(0), 5, 3, 2)
-    for variant in triples.VARIANTS:
-        with pytest.raises(ValueError, match="relation 2 has no triples"):
-            triples.encode_triples(ad.Tensor(x), trips, 3, params, variant=variant)
 
 
 # ---------------------------------------------------------- semantic fusion
@@ -135,23 +123,21 @@ def test_encode_empty_relation_errors(rng):
 
 def test_semantic_without_attention_is_projected_specificity(rng):
     x, trips = make_instance(rng)
-    heads, rels, tails = trips.T
-    n_rel = int(rels.max()) + 1
     params = triples.init_triple_params(np.random.default_rng(1), 5, 3, 2)
     got = triples.semantic_triple(
-        ad.Tensor(x), heads, rels, tails, n_rel, params, with_attention=False
+        ad.Tensor(x), graph_of(trips, len(x)), params, with_attention=False
     ).data
-    spec, _ = triples.triple_specificity(ad.Tensor(x), heads, tails, params["triple.local_w"])
+    spec, _ = triples.triple_specificity(
+        ad.Tensor(x), trips[:, 0], trips[:, 2], params["triple.local_w"]
+    )
     want = spec.data @ params["triple.key_w"].data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_semantic_shape(rng):
     x, trips = make_instance(rng)
-    heads, rels, tails = trips.T
-    n_rel = int(rels.max()) + 1
     params = triples.init_triple_params(np.random.default_rng(1), 5, 3, 2)
-    out = triples.semantic_triple(ad.Tensor(x), heads, rels, tails, n_rel, params)
+    out = triples.semantic_triple(ad.Tensor(x), graph_of(trips, len(x)), params)
     assert out.data.shape == (len(trips), 3)
 
 
@@ -160,7 +146,7 @@ def test_semantic_hand_built_two_triples(rng):
     x, trips = make_instance(rng, n=4, m=2, n_rel=2, d_e=3)
     heads, rels, tails = trips.T
     params = triples.init_triple_params(np.random.default_rng(5), 3, 2, 2)
-    got = triples.semantic_triple(ad.Tensor(x), heads, rels, tails, 2, params).data
+    got = triples.semantic_triple(ad.Tensor(x), graph_of(trips, 4), params).data
 
     local_w = params["triple.local_w"].data
     key_w = params["triple.key_w"].data
@@ -209,7 +195,7 @@ def test_type_triple_singleton_doubles_local(rng):
     xt = rng.normal(size=(2, d_t))
     w = rng.normal(size=(2 * d_t, d_r))
     rel_global, type_spec = triples.type_triple(
-        ad.Tensor(xt), [0], [0], [1], 1, ad.Tensor(w)
+        ad.Tensor(xt), graph_of([[0, 0, 1]], 2), ad.Tensor(w)
     )
     local = np.concatenate([xt[0], xt[1]])
     np.testing.assert_allclose(rel_global.data[0], local, atol=1e-15)
@@ -223,9 +209,7 @@ def test_type_triple_matches_naive(rng):
     heads, rels, tails = trips.T
     n_rel = int(rels.max()) + 1
     w = rng.normal(size=(8, 3))
-    rel_global, type_spec = triples.type_triple(
-        ad.Tensor(x), heads, rels, tails, n_rel, ad.Tensor(w)
-    )
+    rel_global, type_spec = triples.type_triple(ad.Tensor(x), graph_of(trips, len(x)), ad.Tensor(w))
     pair = np.concatenate([x[heads], x[tails]], axis=1)
     want_global = naive.grouped_mean(pair, rels, n_rel)
     np.testing.assert_allclose(rel_global.data, want_global, atol=1e-12)
@@ -244,7 +228,7 @@ def test_mutual_attention_singleton_relations(rng):
     a1 = rng.normal(size=(6, 1))
     a2 = rng.normal(size=(6, 1))
     sem_agg, type_agg = triples.mutual_attention(
-        ad.Tensor(sem), ad.Tensor(typ), [0, 1], 2, ad.Tensor(a1), ad.Tensor(a2)
+        ad.Tensor(sem), ad.Tensor(typ), Segments([0, 1], 2), ad.Tensor(a1), ad.Tensor(a2)
     )
     np.testing.assert_allclose(sem_agg.data, np.maximum(sem, 0.0), atol=1e-12)
     np.testing.assert_allclose(type_agg.data, np.maximum(typ, 0.0), atol=1e-12)
@@ -266,10 +250,10 @@ def test_fuse_all_zero_summands_keeps_relation_type_vector(rng):
 
 def test_encode_widths(rng):
     x, trips = make_instance(rng)
-    n_rel = int(trips[:, 1].max()) + 1
+    graph = graph_of(trips, len(x))
     params = triples.init_triple_params(np.random.default_rng(0), 5, 3, 2)
     for variant, width in (("full", 3 + 4), ("wo-E", 3 + 4), ("wo-T", 3)):
-        enc = triples.encode_triples(ad.Tensor(x), trips, n_rel, params, variant=variant)
+        enc = triples.encode_triples(ad.Tensor(x), graph, params, variant=variant)
         assert triples.triple_width(variant, 3, 2) == width
         assert enc.data.shape == (len(trips), width)
         assert np.isfinite(enc.data).all()
@@ -279,19 +263,22 @@ def test_encode_rejects_unknown_variant(rng):
     x, trips = make_instance(rng)
     params = triples.init_triple_params(np.random.default_rng(0), 5, 3, 2)
     with pytest.raises(ValueError):
-        triples.encode_triples(ad.Tensor(x), trips, 4, params, variant="nope")
+        triples.encode_triples(ad.Tensor(x), graph_of(trips, len(x)), params, variant="nope")
 
 
 def test_duplicating_uniform_relation_triples_changes_nothing(rng):
-    # relation 0's triples are all identical; duplicating one of them must
-    # leave every per-relation aggregate unchanged
-    x = rng.normal(size=(6, 4))
-    base = np.array([[0, 0, 1], [0, 0, 1], [2, 1, 3], [4, 1, 5]], dtype=np.int64)
-    dup = np.concatenate([base, [[0, 0, 1]]], axis=0)
+    # relation 0's triples read identical rows (entities 0, 6 and 8 share
+    # one, as do 1, 7 and 9); adding one more such triple must leave every
+    # per-relation aggregate unchanged
+    x = rng.normal(size=(10, 4))
+    x[[6, 8]] = x[0]
+    x[[7, 9]] = x[1]
+    base = np.array([[0, 0, 1], [6, 0, 7], [2, 1, 3], [4, 1, 5]], dtype=np.int64)
+    dup = np.concatenate([base, [[8, 0, 9]]], axis=0)
     params = triples.init_triple_params(np.random.default_rng(2), 4, 3, 2)
 
-    enc_base = triples.encode_triples(ad.Tensor(x), base, 2, params)
-    enc_dup = triples.encode_triples(ad.Tensor(x), dup, 2, params)
+    enc_base = triples.encode_triples(ad.Tensor(x[:8]), graph_of(base, 8), params)
+    enc_dup = triples.encode_triples(ad.Tensor(x), graph_of(dup, 10), params)
     # compare the representation of one relation-0 triple and one relation-1 triple
     np.testing.assert_allclose(enc_base.data[0], enc_dup.data[0], atol=1e-10)
     np.testing.assert_allclose(enc_base.data[2], enc_dup.data[2], atol=1e-10)
@@ -299,11 +286,11 @@ def test_duplicating_uniform_relation_triples_changes_nothing(rng):
 
 def test_end_to_end_gradient_wrt_embeddings(rng):
     x_data, trips = make_instance(rng, n=10, m=18, n_rel=3, d_e=4)
-    n_rel = int(trips[:, 1].max()) + 1
+    graph = graph_of(trips, 10)
     params = triples.init_triple_params(np.random.default_rng(4), 4, 3, 2)
     x = ad.Tensor(x_data, requires_grad=True)
 
     def fn(*_):
-        return ad.reduce_sum(triples.encode_triples(x, trips, n_rel, params))
+        return ad.reduce_sum(triples.encode_triples(x, graph, params))
 
     assert ad.fd_check(fn, [x]) < 1e-4
