@@ -46,6 +46,14 @@ def test_global_relation_matches_naive_mean(rng):
     np.testing.assert_allclose(out, naive.grouped_mean(pair, rels, n_rel), atol=1e-12)
 
 
+def test_global_relation_empty_relation_errors(rng):
+    # relation 1 of 2 has no triple, so it has no mean; the graph that
+    # global_relation reads refuses to be built
+    with pytest.raises(ValueError, match="relation 1 has no triples"):
+        graph = kg.GraphStructure(kg.KnowledgeGraph(2, 2, np.array([[0, 0, 1]])))
+        triples.global_relation(ad.Tensor(rng.normal(size=(2, 3))), graph)
+
+
 # ------------------------------------------------------------- specificity
 
 
@@ -116,6 +124,15 @@ def test_attention_empty_group_is_zero_row(rng):
         ad.Tensor(q), ad.Tensor(q), ad.Tensor(q), Segments([0, 0], 2), ad.Tensor(a)
     ).data
     np.testing.assert_array_equal(out[1], np.zeros(3))
+
+
+def test_encode_empty_relation_errors(rng):
+    x, trips = make_instance(rng, n_rel=2)
+    params = triples.init_triple_params(np.random.default_rng(0), 5, 3, 2)
+    for variant in triples.VARIANTS:
+        with pytest.raises(ValueError, match="relation 2 has no triples"):
+            graph = kg.GraphStructure(kg.KnowledgeGraph(len(x), 3, trips))
+            triples.encode_triples(ad.Tensor(x), graph, params, variant=variant)
 
 
 # ---------------------------------------------------------- semantic fusion
