@@ -60,32 +60,46 @@ class Tape:
     def record(self, inputs, output, backward):
         self.ops.append((inputs, output, backward))
 
-    def backward(self, loss):
-        """Populate ``grad`` on every requires_grad leaf reachable from loss.
+    def backward(self, output, grad=None):
+        """Populate ``grad`` on every requires_grad leaf reachable from output.
+
+        Without ``grad`` the output must be a scalar loss, seeded with 1.
+        With ``grad`` (an array of the output's shape, such as the gradient
+        a later tape left on a leaf standing for this output) the sweep
+        starts from it, so a pass can be swept after the tape that read its
+        output: leaves then receive this tape's contributions after that
+        tape's, added as if both had been one tape.
 
         Consumes the tape: each record is popped, freeing its closure and the
         arrays it captured, and each op output's ``grad`` is reset to ``None``
         once passed on. A leaf's first contribution becomes its gradient
         without a copy and later ones are added into new arrays, so leaf
-        gradients may share memory and must be treated as read-only.
+        gradients may share memory and must be treated as read-only; the
+        seed ``grad`` is passed on without a copy too.
         """
         if self._consumed:
             raise RuntimeError("backward already ran on this tape; record a new tape")
-        if loss.data.shape != ():
-            raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+        if grad is None:
+            if output.data.shape != ():
+                raise ValueError(f"loss must be scalar, got shape {output.data.shape}")
+            grad = np.ones((), dtype=np.float64)
+        elif np.shape(grad) != output.data.shape:
+            raise ValueError(
+                f"seed gradient has shape {np.shape(grad)}, output has {output.data.shape}"
+            )
         if not self.ops:
             raise ValueError("tape is empty; nothing was recorded")
         self._consumed = True
-        loss.grad = np.ones((), dtype=np.float64)
+        output.grad = grad
         while self.ops:
-            inputs, output, backward = self.ops.pop()
-            out_grad, output.grad = output.grad, None
+            inputs, out_node, backward = self.ops.pop()
+            out_grad, out_node.grad = out_node.grad, None
             if out_grad is None:
                 continue
-            for node, grad in zip(inputs, backward(out_grad)):
-                if grad is None or node is None:
+            for node, part in zip(inputs, backward(out_grad)):
+                if part is None or node is None:
                     continue
-                node.grad = grad if node.grad is None else node.grad + grad
+                node.grad = part if node.grad is None else node.grad + part
 
 
 class _Node:

@@ -209,6 +209,7 @@ def cmd_eval(args):
     task = kg.load_dbp15k(args.data, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
     params = training.load_checkpoint(checkpoint_path, task, cfg)
     f1, f2 = training.forward(task, params, cfg)
+    training._check_finite(f"eval of {checkpoint_path}", f1.data, f2.data)
     report = evaluation.evaluate(
         task, f1.data, f2.data,
         candidate_pool=args.pool, bidirectional=args.bidirectional,
@@ -266,7 +267,8 @@ def cmd_check(args):
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     results = (selfcheck.run_fd_checks(trials=args.trials)
-               + selfcheck.run_oracle_checks(trials=args.trials))
+               + selfcheck.run_oracle_checks(trials=args.trials)
+               + [selfcheck.run_step_check()])
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

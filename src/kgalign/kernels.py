@@ -14,6 +14,10 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
+# distance entries per row block of a query-by-candidate search (top-k
+# negatives, evaluation ranks), which bounds each block's temporaries
+BLOCK_ELEMS = 1 << 22
+
 
 class Segments:
     """Checked segment ids with their 0/1 segment matrix, built once."""

@@ -1,12 +1,15 @@
 """Margin-based alignment training with k-nearest negatives and seed expansion.
 
-One epoch is a full forward pass over both graphs (shared parameters),
-a hinge loss over training pairs against their cached negatives, one
-reverse sweep, and one optimizer step. Negatives are refreshed from the
+One epoch is a forward pass over both graphs (shared parameters), a hinge
+loss over training pairs against their cached negatives, a reverse sweep,
+and one optimizer step. The sweep holds one graph's activations at a time:
+graph 1's pass is kept only as its output and re-run on a tape of its own
+once the loss and graph 2 have been swept. Negatives are refreshed from the
 current embeddings every few epochs; in semi-supervised mode the training
 pairs grow at each refresh by mutual-nearest cross-graph proposals.
 """
 
+import contextlib
 import math
 import numbers
 import zipfile
@@ -121,9 +124,6 @@ def alignment_loss(f1, f2, train_pairs, neg1, neg2, margin):
     return margin_loss(pos_rep, d_neg1, margin) + margin_loss(pos_rep, d_neg2, margin)
 
 
-_BLOCK_ELEMS = 1 << 22  # distance entries per row block of the top-k search
-
-
 def _k_nearest_rows(dist, k, exclude_cols):
     """Per-row indices of the k smallest entries, ties broken by lower id.
 
@@ -136,7 +136,7 @@ def _k_nearest_rows(dist, k, exclude_cols):
     if k >= n_cols:
         raise ValueError(f"k={k} must be smaller than the candidate count {n_cols}")
     out = np.empty((n_rows, k), dtype=np.int64)
-    step = max(1, _BLOCK_ELEMS // n_cols)
+    step = max(1, kernels.BLOCK_ELEMS // n_cols)
     for lo in range(0, n_rows, step):
         block = dist[lo:lo + step].copy()
         block[np.arange(len(block)), exclude_cols[lo:lo + step]] = np.inf
@@ -192,20 +192,49 @@ def expand_seeds_bidirectional(f1, f2, train_pairs, n1, n2):
     return proposals.astype(np.int64)
 
 
+def encode_graph(graph, emb, params, cfg):
+    """One graph through structure encoding, triple encoding, and enhancement."""
+    x = structure.encode_structure(emb, graph.adjacency_norm, params, cfg.gcn_depth)
+    triple_repr = triples.encode_triples(x, graph, params, variant=cfg.variant)
+    return enhancer.enhance_entities(
+        x, triple_repr, graph, params, mode=cfg.cycle_mode,
+        skip_cycle=(cfg.variant == "wo-C"),
+    )
+
+
 def forward(task, params, cfg):
-    """Both graphs through structure encoding, triple encoding, and enhancement."""
-    outputs = []
-    for graph, emb_key in ((task.g1, "emb1"), (task.g2, "emb2")):
-        x = structure.encode_structure(
-            params[emb_key], graph.adjacency_norm, params, cfg.gcn_depth
-        )
-        triple_repr = triples.encode_triples(x, graph, params, variant=cfg.variant)
-        final = enhancer.enhance_entities(
-            x, triple_repr, graph, params, mode=cfg.cycle_mode,
-            skip_cycle=(cfg.variant == "wo-C"),
-        )
-        outputs.append(final)
-    return outputs[0], outputs[1]
+    """Both graphs' outputs, in one pass each."""
+    return (encode_graph(task.g1, params["emb1"], params, cfg),
+            encode_graph(task.g2, params["emb2"], params, cfg))
+
+
+def step_pass(task, params, cfg, taped=True):
+    """The pass a training step reads: ``(tape, f1, f2)``.
+
+    Graph 1 runs untaped and ``f1`` is a leaf holding its output, so the
+    loss's gradient collects on it. Graph 2 runs on ``tape`` when ``taped``
+    (``tape`` is None otherwise), which the loss then extends.
+    """
+    out1 = encode_graph(task.g1, params["emb1"], params, cfg)
+    with ad.Tape() if taped else contextlib.nullcontext() as tape:
+        f2 = encode_graph(task.g2, params["emb2"], params, cfg)
+    return tape, ad.Tensor(out1.data, requires_grad=True), f2
+
+
+def step_backward(task, params, cfg, tape, loss, f1):
+    """Parameter gradients of ``loss`` read from a ``step_pass``.
+
+    Sweeps the loss and graph 2, then re-runs graph 1 on a tape of its own
+    and sweeps it from the gradient the loss left on ``f1``. The forward
+    pass is deterministic and no parameter changes in between, so every
+    gradient is bitwise equal to one sweep of a tape holding both graphs
+    and the loss: each parameter receives its contributions in that sweep's
+    order, graph 2's then graph 1's.
+    """
+    tape.backward(loss)
+    with ad.Tape() as tape1:
+        out1 = encode_graph(task.g1, params["emb1"], params, cfg)
+    tape1.backward(out1, f1.grad)
 
 
 def check_task(task, cfg):
@@ -252,12 +281,11 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     state = ad.AdamState()
     train_pairs = task.seeds_train.copy()
     history = []
-    # one forward pass per parameter state: each epoch's loss, negatives and
-    # seed proposals read the pass taped after the previous step, which also
-    # feeds that step's evaluation; the pass after the last step is untaped
-    # and is the output
-    with ad.Tape() as tape:
-        f1, f2 = forward(task, params, cfg)
+    # one pass of each graph per parameter state: each epoch's loss,
+    # negatives and seed proposals read the pass run after the previous
+    # step, which also feeds that step's evaluation; the pass after the
+    # last step is untaped and is the output
+    tape, f1, f2 = step_pass(task, params, cfg, taped=cfg.epochs > 0)
     for epoch in range(cfg.epochs):
         with tape:
             if epoch % cfg.neg_refresh_epochs == 0:
@@ -275,7 +303,7 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
-        tape.backward(loss)
+        step_backward(task, params, cfg, tape, loss, f1)
         grads = [params[k].grad for k in order]
         _check_finite_params("gradient", epoch, order, grads)
         values = [params[k].data for k in order]
@@ -283,18 +311,16 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         _check_finite_params("value", epoch, order, values)
         ad.zero_grads(params.values())
 
-        if epoch + 1 < cfg.epochs:
-            with ad.Tape() as tape:
-                f1, f2 = forward(task, params, cfg)
-        else:
-            f1, f2 = forward(task, params, cfg)
+        tape, f1, f2 = step_pass(task, params, cfg, taped=epoch + 1 < cfg.epochs)
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
+            _check_finite(f"evaluation after epoch {epoch}", f1.data, f2.data)
             record["hits1"] = evaluate(task, f1.data, f2.data).hits_at[1]
         history.append(record)
         if log is not None:
             log(record)
 
+    _check_finite("final output", f1.data, f2.data)
     return FitResult(params, f1.data, f2.data, history, train_pairs)
 
 

@@ -265,6 +265,21 @@ def test_backward_twice_errors():
         tape.backward(loss)
 
 
+def test_seeded_backward_checks_grad_shape_and_sweeps_once(rng):
+    x = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    w = rng.normal(size=(3, 2))
+    with ad.Tape() as tape:
+        y = x * w
+    for bad in (np.ones((2, 3)), np.ones(6), np.ones(())):
+        with pytest.raises(ValueError, match="seed gradient has shape"):
+            tape.backward(y, bad)
+    seed = rng.normal(size=(3, 2))
+    tape.backward(y, seed)
+    np.testing.assert_array_equal(x.grad, seed * w)
+    with pytest.raises(RuntimeError, match="already ran"):
+        tape.backward(y, seed)
+
+
 def test_backward_consumes_tape_and_keeps_only_leaf_grads():
     x = ad.Tensor([1.0, -2.0], requires_grad=True)
     with ad.Tape() as tape:
@@ -406,6 +421,25 @@ def test_taped_forward_retains_at_most_40_percent_of_keeping_copies():
         tracemalloc.stop()
     assert retained <= 0.4 * _RETAINED_KEEPING_COPIES
     tape.backward(loss)
+
+
+# tracemalloc peak bytes of the fit below when one tape held both graphs'
+# passes and the loss (numpy 2.4)
+_FIT_PEAK_ONE_TAPE = 20_669_929
+
+
+def test_fit_peak_is_at_most_85_percent_of_one_tape():
+    # graph 1's activations are taped only after the loss and graph 2 are swept
+    task = kg.generate_synthetic_pair(300, 20, 9, emb_dim=60, rng_seed=5)
+    cfg = TrainConfig(d_r=20, d_t=20, epochs=2)
+    training.forward(task, training.init_params(task, cfg, np.random.default_rng(0)), cfg)
+    tracemalloc.start()
+    try:
+        training.fit(task, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.85 * _FIT_PEAK_ONE_TAPE
 
 
 def test_concat_rebuild_holds_one_rebuilt_part_at_a_time(rng):

@@ -299,6 +299,29 @@ def test_eval_non_finite_checkpoint_exits_data(run_dir, dataset, tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_eval_non_finite_embeddings_exit_numeric(run_dir, dataset, tmp_path, capsys):
+    # finite values the loader accepts, but the type projection's sums
+    # overflow to inf
+    edited = tmp_path / "edited_run"
+    shutil.copytree(run_dir, edited)
+    checkpoint = edited / "checkpoint.npz"
+    with np.load(checkpoint) as bundle:
+        arrays = dict(bundle)
+    arrays["triple.type_key_w"][...] = 1e308
+    np.savez(checkpoint, **arrays)
+    _, cfg = cli._load_run(edited)
+    task = kg.load_dbp15k(dataset, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
+    params = training.load_checkpoint(checkpoint, task, cfg)
+    with np.errstate(invalid="ignore", over="ignore"):
+        f1, _ = training.forward(task, params, cfg)
+        assert not np.isfinite(f1.data).all()
+        code = run_cli("eval", "--model", str(edited), "--data", str(dataset))
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "non-finite embeddings" in captured.err and "Traceback" not in captured.err
+    assert "hits@1" not in captured.out
+
+
 def test_eval_embedding_width_mismatch_exits_data(run_dir, tmp_path, capsys):
     other = tmp_path / "wider"
     assert run_cli("gen-synth", "--entities", "80", "--relations", "8",
@@ -369,6 +392,7 @@ def test_check_passes_clean_build(capsys):
     assert run_cli("check", "--trials", "2") == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    assert "step/recompute\tPASS\tmax_abs_diff=0.000e+00" in out
     # at least one check per differentiable operation
     for op in ("matmul", "add", "mul", "concat", "relu", "leaky_relu", "tanh",
                "sigmoid", "absval", "take_rows", "reduce_sum", "segment_softmax",
@@ -388,6 +412,21 @@ def test_check_detects_injected_backward_sign_flip(monkeypatch, capsys):
         monkeypatch.setattr(ad, "tanh", broken_tanh)
         assert run_cli("check", "--trials", "1") == EXIT_NUMERIC
         assert "grad/tanh\tFAIL" in capsys.readouterr().out
+
+
+def test_check_detects_non_deterministic_forward_pass(monkeypatch, capsys):
+    # every pass scales its output a little more, so the re-run of graph 1
+    # differs from the pass the loss read
+    passes = []
+    real = training.encode_graph
+
+    def drifting(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs) * (1.0 + 1e-12 * len(passes))
+
+    monkeypatch.setattr(training, "encode_graph", drifting)
+    assert run_cli("check", "--trials", "1") == EXIT_NUMERIC
+    assert "step/recompute\tFAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgalign import evaluation, kg
+from kgalign import evaluation, kernels, kg
 from kgalign.evaluation import EvalReport, evaluate, rank_pairs
 from kgalign import oracles as naive
 
@@ -125,6 +125,34 @@ def test_all_entity_pool_and_bidirectional(rng):
     assert wide.hits_at[1] <= narrow.hits_at[1] + 1e-12
     both = evaluate(task, emb1, emb2, bidirectional=True)
     assert len(both.per_query_ranks) == 2 * len(task.seeds_test)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("pool", ["test", "all"])
+def test_blocked_ranks_equal_unblocked(monkeypatch, rng, pool, bidirectional):
+    task = make_eval_task(rng, n=60)
+    # integer coordinates make distance ties common
+    emb1 = rng.integers(-1, 2, size=(task.g1.num_entities, 6)).astype(np.float64)
+    emb2 = rng.integers(-1, 2, size=(task.g2.num_entities, 6)).astype(np.float64)
+    whole = evaluate(task, emb1, emb2, candidate_pool=pool, bidirectional=bidirectional)
+    blocks = []
+    real = kernels.pairwise_manhattan
+
+    def recording(a, b):
+        blocks.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(kernels, "pairwise_manhattan", recording)
+    pool_size = len(task.seeds_test) if pool == "test" else task.g2.num_entities
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", 4 * pool_size + 3)  # 4 queries a block
+    blocked = evaluate(task, emb1, emb2, candidate_pool=pool, bidirectional=bidirectional)
+    assert np.array_equal(blocked.per_query_ranks, whole.per_query_ranks)
+    assert blocked.hits_at == whole.hits_at and blocked.mrr == whole.mrr
+    rows = [n for n, _ in blocks]
+    assert len(task.seeds_test) % 4 != 0  # the last block of each direction is partial
+    assert rows == ([4] * (len(task.seeds_test) // 4) + [len(task.seeds_test) % 4]) * (
+        2 if bidirectional else 1)
+    assert len(rows) >= 3 and {m for _, m in blocks} == {pool_size}
 
 
 def test_empty_test_set_errors(rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign import autodiff as ad
-from kgalign import evaluation, kernels, kg, training
+from kgalign import evaluation, kernels, kg, selfcheck, training
 from kgalign.training import TrainConfig
 from kgalign import oracles as naive
 
@@ -162,7 +162,7 @@ def tied_distances(draw):
 def test_k_nearest_rows_equals_sorting_oracle(case, block_elems):
     dist, k, exclude = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "_BLOCK_ELEMS", block_elems)
+        patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
         got = training._k_nearest_rows(dist, k, exclude)
     np.testing.assert_array_equal(got, naive.k_nearest_by_sorting(dist, k, exclude))
 
@@ -320,8 +320,8 @@ def test_non_finite_gradient_aborts_naming_first_parameter(monkeypatch, small_ta
     params = _capture_params(monkeypatch)
     real_backward = ad.Tape.backward
 
-    def poisoned_backward(tape, loss):
-        real_backward(tape, loss)
+    def poisoned_backward(tape, output, grad=None):
+        real_backward(tape, output, grad)
         for key in ("triple.head_w", "gcn.gate_b1"):  # the second sorts first
             params[key].grad = np.full_like(params[key].data, np.nan)
 
@@ -346,6 +346,30 @@ def test_non_finite_parameter_after_step_aborts(monkeypatch, small_task):
     cfg = TrainConfig(epochs=3, d_r=6, d_t=6, rng_seed=0)
     with pytest.raises(training.NumericalError, match="value of 'gcn.gate_w0' at epoch 1"):
         training.fit(small_task, cfg)
+
+
+@pytest.mark.parametrize("eval_every, message", [
+    (0, "final output: non-finite"),
+    (1, "evaluation after epoch 1: non-finite"),
+])
+def test_non_finite_last_pass_aborts(monkeypatch, small_task, eval_every, message):
+    # finite values whose type projection sums overflow to inf, set by the
+    # last step, so only the pass after it is non-finite
+    params = _capture_params(monkeypatch)
+    real_step = ad.adam_step
+    steps = []
+
+    def poisoned_step(values, grads, state, **kwargs):
+        real_step(values, grads, state, **kwargs)
+        steps.append(1)
+        if len(steps) == 2:
+            params["triple.type_key_w"].data[...] = 1e308
+
+    monkeypatch.setattr(ad, "adam_step", poisoned_step)
+    cfg = TrainConfig(epochs=2, d_r=6, d_t=6, rng_seed=0, eval_every=eval_every)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(training.NumericalError, match=message):
+            training.fit(small_task, cfg)
 
 
 def test_checkpoint_round_trip(tmp_path, small_task):
@@ -374,32 +398,53 @@ def test_load_checkpoint_rejects_damaged_or_foreign_file(tmp_path, small_task, a
         training.load_checkpoint(path, small_task, TrainConfig())
 
 
-def _count_forward_calls(monkeypatch):
-    calls = []
-    real = training.forward
+def _count_graph_passes(monkeypatch, task):
+    """Per graph, the number of ``encode_graph`` passes a fit runs."""
+    calls = {1: 0, 2: 0}
+    real = training.encode_graph
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(graph, *args, **kwargs):
+        calls[1 if graph is task.g1 else 2] += 1
+        return real(graph, *args, **kwargs)
 
-    monkeypatch.setattr(training, "forward", counting)
+    monkeypatch.setattr(training, "encode_graph", counting)
     return calls
 
 
 def test_supervised_fit_runs_one_forward_per_epoch_plus_final(monkeypatch, small_task):
-    calls = _count_forward_calls(monkeypatch)
+    calls = _count_graph_passes(monkeypatch, small_task)
     training.fit(small_task, TrainConfig(epochs=6, d_r=6, d_t=6, rng_seed=0))
-    assert len(calls) == 7  # negatives reuse the taped pass of epochs 0 and 5
+    # negatives reuse the pass of epochs 0 and 5; each step re-runs graph 1
+    # on a tape for its sweep
+    assert calls == {1: 7 + 6, 2: 7}
 
 
 def test_semi_fit_reuses_last_evaluation_pass_as_output(monkeypatch, small_task):
-    calls = _count_forward_calls(monkeypatch)
+    calls = _count_graph_passes(monkeypatch, small_task)
     cfg = TrainConfig(epochs=3, d_r=6, d_t=6, rng_seed=0, semi=True,
                       neg_refresh_epochs=1, eval_every=1)
     training.fit(small_task, cfg)
-    # epoch 0's taped pass, then one evaluation pass per epoch: the first
-    # two are taped and reused by epochs 1 and 2, the last is the output
-    assert len(calls) == 4
+    # epoch 0's pass, then one evaluation pass per epoch: the first two are
+    # reused by epochs 1 and 2, the last is the output; plus graph 1's
+    # re-run in each step
+    assert calls == {1: 4 + 3, 2: 4}
+
+
+@pytest.mark.parametrize(
+    "variant, cycle_mode", [("full", 2), ("wo-E", 2), ("wo-T", 2), ("wo-C", 2), ("full", 3)]
+)
+def test_per_graph_step_gradients_equal_single_tape_sweep(small_task, variant, cycle_mode):
+    cfg = TrainConfig(d_r=6, d_t=6, variant=variant, cycle_mode=cycle_mode)
+    params = training.init_params(small_task, cfg, np.random.default_rng(3))
+    pairs = small_task.seeds_train
+    want = selfcheck.single_tape_grads(small_task, params, cfg, pairs)
+    got = selfcheck.per_graph_grads(small_task, params, cfg, pairs)
+    assert np.any(want["emb1"]) and np.any(want["emb2"]) and np.any(want["gcn.gate_w0"])
+    for key in sorted(params):
+        if want[key] is None:
+            assert got[key] is None, key
+        else:
+            assert np.array_equal(got[key], want[key]), key
 
 
 @pytest.mark.parametrize("semi", [False, True])
