@@ -8,8 +8,8 @@ visits each recorded node exactly once.
 A record holds gradient slots (``_Node``), not tensors, and each backward
 rule captures only the arrays and shapes it reads. An intermediate array is
 therefore freed as soon as the model code drops it, unless a backward rule
-needs it. Only ``matmul``, ``mul`` and ``absval`` read an input array, and
-they read it through ``_saved``. The output of a copy op (``concat``,
+needs it. Only ``matmul``, ``mul``, ``absval`` and ``grouped_attention``
+read input arrays, through ``_saved``. The output of a copy op (``concat``,
 ``take_rows``) is never kept for them: ``_saved`` hands back a function
 that rebuilds it bit for bit from its sources, so the copy exists again
 only while the reading rule runs. This needs every source array unchanged
@@ -267,21 +267,24 @@ def left_matmul(matrix, x):
 
 def relu(a):
     a = as_tensor(a)
-    mask = a.data > 0
+    mask = (a.data > 0) | np.isnan(a.data)  # NaN passes, so it stays visible
     return _record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 LEAKY_SLOPE = 0.3  # negative-side slope of every attention score
+ATTENTION_BLOCK_ROWS = 256  # rows per copy into grouped_attention's logits buffer
+
+
+def _leaky(x):
+    # leaky_relu's value and backward rule, which keeps only the mask
+    mask = x > 0
+    return np.where(mask, x, LEAKY_SLOPE * x), lambda g: g * np.where(mask, 1.0, LEAKY_SLOPE)
 
 
 def leaky_relu(a):
     a = as_tensor(a)
-    mask = a.data > 0
-    return _record(
-        np.where(mask, a.data, LEAKY_SLOPE * a.data),
-        (a,),
-        lambda g: (g * np.where(mask, 1.0, LEAKY_SLOPE),),
-    )
+    out, rule = _leaky(a.data)
+    return _record(out, (a,), lambda g: (rule(g),))
 
 
 def tanh(a):
@@ -368,16 +371,21 @@ def segment_softmax(logits, seg):
     logits = as_tensor(logits)
     if logits.data.ndim != 1:
         raise DimensionError(f"segment_softmax: expected 1-D logits, got {logits.data.shape}")
-    shifted = logits.data - kernels.segment_max(logits.data, seg)[seg.ids]
-    exp = np.exp(shifted)
+    out, rule = _softmax(logits.data, seg)
+    return _record(out, (logits,), lambda g: (rule(g),))
+
+
+def _softmax(logits, seg):
+    # segment_softmax's value and backward rule, which keeps the value
+    exp = np.exp(logits - kernels.segment_max(logits, seg)[seg.ids])
     out = exp / kernels.segment_sum(exp, seg)[seg.ids]
 
     def backward(g):
         # within each segment: dL/dz = out * (g - sum(g * out))
         inner = kernels.segment_sum(g * out, seg)
-        return (out * (g - inner[seg.ids]),)
+        return out * (g - inner[seg.ids])
 
-    return _record(out, (logits,), backward)
+    return out, backward
 
 
 def segment_sum(values, seg):
@@ -386,6 +394,71 @@ def segment_sum(values, seg):
     return _record(
         kernels.segment_sum(values.data, seg), (values,), lambda g: (g[seg.ids],)
     )
+
+
+def grouped_attention(query, key, value, seg, attn_vec):
+    """GAT-style softmax-within-group aggregation of ``value`` rows as one
+    tape record, bitwise equal to the take_rows, concat, matmul, leaky_relu,
+    segment_softmax, mul, segment_sum chain; see ``oracles.grouped_attention``.
+    Logits are ``leaky_relu((query ‖ key) @ attn_vec)``, normalized within each
+    group of ``seg``. An operand is a tensor with a row per ``seg`` id or a
+    ``(tensor, Segments)`` pair that the op gathers, once per pair object.
+    """
+    operands = (query, key, value)
+    tensors, gathers = zip(*(op if isinstance(op, tuple) else (op, None) for op in operands))
+    attn_vec, n = as_tensor(attn_vec), len(seg.ids)
+    counts = [len(t.data) if g is None else len(g.ids) for t, g in zip(tensors, gathers)]
+    dq, dk = (t.data.shape[-1] for t in tensors[:2])
+    if counts != [n] * 3 or attn_vec.data.shape != (dq + dk, 1):
+        raise DimensionError(f"grouped_attention: rows {counts}, {n} ids, attn {attn_vec.shape}")
+    sources, attn_data = [_saved(t) for t in tensors], _saved(attn_vec)
+
+    def rows_of(r, data, block=np.s_[:]):  # a gathered operand's rows are a new array
+        return data[block] if gathers[r] is None else data[gathers[r].ids[block]]
+
+    def logit_rows():
+        # (query ‖ key), filled in blocks so that a gather's copy stays small
+        buf, q_data, k_data = np.empty((n, dq + dk)), sources[0](), sources[1]()
+        for lo in range(0, n, ATTENTION_BLOCK_ROWS):
+            block = np.s_[lo:lo + ATTENTION_BLOCK_ROWS]
+            buf[block, :dq], buf[block, dq:] = rows_of(0, q_data, block), rows_of(1, k_data, block)
+        return buf
+
+    scores, leaky_grad = _leaky((logit_rows() @ attn_vec.data).reshape(-1))
+    weights, softmax_grad = _softmax(scores, seg)
+    weighted = np.array(rows_of(2, tensors[2].data), copy=gathers[2] is None)
+    weighted *= weights[:, None]
+    out = kernels.segment_sum(weighted, seg)
+
+    # attn_vec, then the composite's order: value, query, key, then one scatter
+    # per gather, last gathered first, of its roles' gradients summed in that order
+    order = (2, 0, 1)
+    firsts = [r for r in range(3)
+              if gathers[r] is not None and not any(operands[s] is operands[r] for s in range(r))]
+    slots = [[r] for r in order if gathers[r] is None]
+    slots += [[s for s in order if operands[s] is operands[r]] for r in reversed(firsts)]
+
+    def backward(g):
+        g_rows = g[seg.ids]
+        g_rows *= rows_of(2, sources[2]())
+        g_weights = _unbroadcast(g_rows, (n, 1)).reshape(-1)
+        del g_rows  # before the buffer is rebuilt
+        g_logits = leaky_grad(softmax_grad(g_weights)).reshape(-1, 1)
+        halves = np.split(attn_data(), [dq])
+
+        def role_grad(r):  # query's and key's entries are one product each, as in g @ aᵀ
+            return g_logits @ halves[r].T if r < 2 else g[seg.ids] * weights[:, None]
+
+        parts = [logit_rows().T @ g_logits]
+        for slot in slots:
+            total = role_grad(slot[0])
+            for r in slot[1:]:
+                total += role_grad(r)
+            rows = gathers[slot[0]]
+            parts.append(total if rows is None else kernels.segment_sum(total, rows))
+        return parts
+
+    return _record(out, [attn_vec] + [tensors[slot[0]] for slot in slots], backward)
 
 
 # ------------------------------------------------------------- verification

@@ -7,7 +7,6 @@ undirected graph neighbors doubles the embedding width.
 """
 
 from . import autodiff as ad
-from .triples import grouped_attention
 
 CYCLE_STEPS = {1: "ht", 2: "hth", 3: "htht"}
 
@@ -29,7 +28,7 @@ def attention_enhance(x, triple_repr, seg, proj_w, attn_vec):
     names receive a zero aggregate and come back bitwise unchanged.
     """
     proj = ad.matmul(triple_repr, proj_w)
-    agg = grouped_attention(proj, ad.take_rows(x, seg), proj, seg, attn_vec)
+    agg = ad.grouped_attention(proj, (x, seg), proj, seg, attn_vec)
     return x + ad.relu(agg)
 
 
@@ -56,9 +55,8 @@ def neighbor_reaggregate(x, src, dst, attn_vec):
     Output width is twice the input width; entities with no neighbors get a
     zero aggregate block.
     """
-    x_center = ad.take_rows(x, src)
-    x_neighbor = ad.take_rows(x, dst)
-    agg = grouped_attention(x_center, x_neighbor, x_neighbor, src, attn_vec)
+    neighbors = (x, dst)
+    agg = ad.grouped_attention((x, src), neighbors, neighbors, src, attn_vec)
     return ad.concat(x, ad.relu(agg))
 
 

@@ -112,6 +112,17 @@ def _fd_case_segment_sum(rng):
     return lambda *_: ad.reduce_sum(ad.segment_sum(a, seg) * w), [a]
 
 
+def _fd_case_grouped_attention(rng):
+    # query as value, then a gathered query with key and value one gather
+    x, q, a1, a2 = (_param(rng, shape) for shape in ((4, 5), (7, 3), (8, 1), (10, 1)))
+    seg, other = (kernels.Segments(rng.integers(0, 4, size=7), 4) for _ in range(2))
+    shared = (x, other)
+    calls = [((q, shared, q, seg, a1), _away_from_zero(rng, (4, 3))),
+             (((x, seg), shared, shared, seg, a2), _away_from_zero(rng, (4, 5)))]
+    fn = lambda *_: sum(ad.reduce_sum(ad.grouped_attention(*c) * w) for c, w in calls)
+    return fn, [x, q, a1, a2]
+
+
 def _fd_case_structure_encoder(rng):
     n, d_e, depth = 5, 3, 2
     trips = naive.random_connected_triples(rng, n, 8, 2)
@@ -183,6 +194,7 @@ FD_CASES = [
     ("left_matmul", _fd_case_left_matmul),
     ("segment_softmax", _fd_case_segment_softmax),
     ("segment_sum", _fd_case_segment_sum),
+    ("grouped_attention", _fd_case_grouped_attention),
     ("structure_encoder", _fd_case_structure_encoder),
     ("triple_encoder", _fd_case_triple_encoder),
     ("entity_enhancer", _fd_case_entity_enhancer),
@@ -259,7 +271,7 @@ def _oracle_diffs(rng):
 
     q, k, v = (rng.normal(size=(m, d)) for _ in range(3))
     a = rng.normal(size=(2 * d, 1))
-    got = triples.grouped_attention(
+    got = ad.grouped_attention(
         ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), graph.rels, ad.Tensor(a)
     ).data
     want = naive.grouped_attention(q, k, v, rels, n_rel, a)

@@ -53,19 +53,6 @@ def triple_specificity(x, heads, tails, local_w):
     return ad.concat(x_h, projected, x_t), local
 
 
-def grouped_attention(query, key, value, seg, attn_vec):
-    """Softmax-within-group aggregation of ``value`` rows, GAT style.
-
-    Logits are ``leaky_relu((query ‖ key) @ attn_vec)``, normalized within
-    each group of ``seg``, a ``kernels.Segments``; a group with no rows gets
-    a zero aggregate. Each caller applies its own outer activation. Mirrors
-    ``oracles.grouped_attention``.
-    """
-    logits = ad.reshape(ad.matmul(ad.concat(query, key), attn_vec), (-1,))
-    weights = ad.segment_softmax(ad.leaky_relu(logits), seg)
-    return ad.segment_sum(ad.reshape(weights, (-1, 1)) * value, seg)
-
-
 def semantic_triple(x, graph, params, with_attention=True):
     """Per-triple semantic representation: attention aggregates + specificity.
 
@@ -77,7 +64,7 @@ def semantic_triple(x, graph, params, with_attention=True):
         return key
 
     def role_aware(query, attn_vec):
-        agg = grouped_attention(query, key, query, graph.rels, attn_vec)
+        agg = ad.grouped_attention(query, key, query, graph.rels, attn_vec)
         return ad.take_rows(ad.leaky_relu(agg), graph.rels)
 
     rel_global = global_relation(x, graph)
@@ -119,8 +106,8 @@ def mutual_attention(sem, type_proj, rels, fwd_a, rev_a):
     The forward direction scores (semantic ‖ type) and aggregates semantic
     values; the reverse direction swaps the roles and aggregates type values.
     """
-    sem_agg = grouped_attention(sem, type_proj, sem, rels, fwd_a)
-    type_agg = grouped_attention(type_proj, sem, type_proj, rels, rev_a)
+    sem_agg = ad.grouped_attention(sem, type_proj, sem, rels, fwd_a)
+    type_agg = ad.grouped_attention(type_proj, sem, type_proj, rels, rev_a)
     return ad.relu(sem_agg), ad.relu(type_agg)
 
 

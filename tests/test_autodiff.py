@@ -198,6 +198,13 @@ def test_relu_example():
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+def test_relu_passes_nan_and_zeroes_negative_zero():
+    out = ad.relu(ad.Tensor([np.nan, -np.inf, -0.0, np.inf])).data
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out[1:], [0.0, 0.0, np.inf])
+    assert not np.signbit(out[2])
+
+
 def test_tanh_at_zero():
     assert ad.tanh(ad.Tensor(0.0)).data == 0.0
 
@@ -556,3 +563,103 @@ def test_gradient_suite_randomized(rng):
             return ad.reduce_sum(ad.sigmoid(s) * ad.tanh(s))
 
         assert ad.fd_check(fn, [x, w]) < 1e-4
+
+
+# ------------------------------------------------------- grouped attention
+
+
+def _composite_attention(query, key, value, seg, attn_vec):
+    """The eight-op chain that ``ad.grouped_attention`` fuses, with one
+    ``take_rows`` per distinct gather, made in operand order."""
+    made = []
+
+    def rows(op):
+        if not isinstance(op, tuple):
+            return op
+        for pair, gathered in made:
+            if pair is op:
+                return gathered
+        made.append((op, ad.take_rows(*op)))
+        return made[-1][1]
+
+    q, k, v = rows(query), rows(key), rows(value)
+    logits = ad.reshape(ad.matmul(ad.concat(q, k), attn_vec), (-1,))
+    weights = ad.segment_softmax(ad.leaky_relu(logits), seg)
+    return ad.segment_sum(ad.reshape(weights, (-1, 1)) * v, seg)
+
+
+# (query, key, value) of each attention call site, from entity rows x, two
+# per-row tensors p and r, and two gathers of x; seg is the first gather's
+_ATTENTION_SITES = {
+    "role_aware": lambda x, p, r, centers, others: (p, r, p),
+    "mutual_fwd": lambda x, p, r, centers, others: (p, r, p),
+    "mutual_rev": lambda x, p, r, centers, others: (r, p, r),
+    "attention_enhance": lambda x, p, r, centers, others: (p, centers, p),
+    "neighbor_reaggregate": lambda x, p, r, centers, others: (centers, others, others),
+}
+
+
+@pytest.mark.parametrize("width", [1, 6, 7, 64])
+@pytest.mark.parametrize("site", sorted(_ATTENTION_SITES))
+def test_grouped_attention_is_bitwise_the_composite(site, width):
+    # entity 0 heads one row and entities 6, 7 none; every leaf already holds
+    # a gradient, so adding the contributions in another order shows
+    rng = np.random.default_rng(width)
+    n, rows = 8, 30
+    seg = Segments(np.concatenate([[0], rng.integers(1, 6, size=rows - 1)]), n)
+    others = Segments(rng.integers(0, n, size=rows), n)
+    arrays = {"x": rng.normal(size=(n, width)), "p": rng.normal(size=(rows, width)),
+              "r": rng.normal(size=(rows, width)), "a": rng.normal(size=(2 * width, 1))}
+    held = {name: rng.normal(size=value.shape) for name, value in arrays.items()}
+    w_out = rng.normal(size=(n, width))
+
+    def run(op):
+        leaves = {name: ad.Tensor(value.copy(), requires_grad=True)
+                  for name, value in arrays.items()}
+        for name, leaf in leaves.items():
+            leaf.grad = held[name].copy()
+        x = leaves["x"]
+        operands = _ATTENTION_SITES[site](x, leaves["p"], leaves["r"], (x, seg), (x, others))
+        with ad.Tape() as tape:
+            out = op(*operands, seg, leaves["a"])
+            loss = ad.reduce_sum(out * w_out)
+        tape.backward(loss)
+        return out.data, {name: leaf.grad for name, leaf in leaves.items()}
+
+    fused_out, fused_grads = run(ad.grouped_attention)
+    want_out, want_grads = run(_composite_attention)
+    assert np.array_equal(fused_out, want_out)
+    np.testing.assert_array_equal(want_out[6:], 0.0)
+    for name in arrays:
+        assert np.array_equal(fused_grads[name], want_grads[name]), name
+
+
+def test_grouped_attention_rejects_mismatched_operands():
+    seg = Segments([0, 1, 1], 2)
+    rows3, a = ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones((4, 1)))
+    with pytest.raises(ad.DimensionError, match="grouped_attention"):
+        ad.grouped_attention(rows3, ad.Tensor(np.ones((2, 2))), rows3, seg, a)
+    with pytest.raises(ad.DimensionError, match="grouped_attention"):
+        ad.grouped_attention(rows3, rows3, rows3, seg, ad.Tensor(np.ones((3, 1))))
+
+
+def test_grouped_attention_peak_is_under_125_percent_of_logits_buffer(rng):
+    # the neighbour call's shape: a gathered query, key and value one gather
+    n, rows, d = 400, 4000, 64
+    x = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    src = Segments(np.sort(rng.integers(0, n, size=rows)), n)
+    neighbors = (x, Segments(rng.integers(0, n, size=rows), n))
+    attn_vec = ad.Tensor(0.1 * rng.normal(size=(2 * d, 1)), requires_grad=True)
+    seed = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            out = ad.grouped_attention((x, src), neighbors, neighbors, src, attn_vec)
+        tape.backward(out, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and attn_vec.grad is not None
+    # the composite's gathers, their concat and its rebuild reach about 2x
+    assert peak - before < 1.25 * rows * 2 * d * 8

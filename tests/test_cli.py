@@ -284,7 +284,8 @@ def _set_first(value):
 ], ids=["nan", "inf", "text"])
 def test_eval_non_finite_checkpoint_exits_data(run_dir, dataset, tmp_path, capsys,
                                                poison, message):
-    # ReLU maps NaN to 0, so a NaN attention vector would not show in the metrics
+    # a non-finite or non-float parameter is a damaged checkpoint, rejected
+    # before any forward pass
     edited = tmp_path / "edited_run"
     shutil.copytree(run_dir, edited)
     checkpoint = edited / "checkpoint.npz"
@@ -315,6 +316,25 @@ def test_eval_non_finite_embeddings_exit_numeric(run_dir, dataset, tmp_path, cap
     with np.errstate(invalid="ignore", over="ignore"):
         f1, _ = training.forward(task, params, cfg)
         assert not np.isfinite(f1.data).all()
+        code = run_cli("eval", "--model", str(edited), "--data", str(dataset))
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "non-finite embeddings" in captured.err and "Traceback" not in captured.err
+    assert "hits@1" not in captured.out
+
+
+def test_eval_overflowing_neighbor_attention_exits_numeric(run_dir, dataset, tmp_path,
+                                                          capsys):
+    # the logits overflow and the softmax gives NaN weights, which the outer
+    # ReLU passes on instead of turning them into zeros
+    edited = tmp_path / "edited_run"
+    shutil.copytree(run_dir, edited)
+    checkpoint = edited / "checkpoint.npz"
+    with np.load(checkpoint) as bundle:
+        arrays = dict(bundle)
+    arrays["enhance.neighbor_a"][...] = 1e308
+    np.savez(checkpoint, **arrays)
+    with np.errstate(invalid="ignore", over="ignore"):
         code = run_cli("eval", "--model", str(edited), "--data", str(dataset))
     assert code == EXIT_NUMERIC
     captured = capsys.readouterr()

@@ -88,7 +88,7 @@ def test_attention_singleton_group(rng):
     q = rng.normal(size=(1, 4))
     k = rng.normal(size=(1, 4))
     a = rng.normal(size=(8, 1))
-    out = triples.grouped_attention(
+    out = ad.grouped_attention(
         ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), Segments([0], 1), ad.Tensor(a)
     ).data
     np.testing.assert_allclose(out, q, atol=1e-12)
@@ -98,10 +98,10 @@ def test_attention_duplicated_identical_triples(rng):
     q = np.tile(rng.normal(size=(1, 4)), (5, 1))
     k = np.tile(rng.normal(size=(1, 4)), (5, 1))
     a = rng.normal(size=(8, 1))
-    dup = triples.grouped_attention(
+    dup = ad.grouped_attention(
         ad.Tensor(q), ad.Tensor(k), ad.Tensor(q), Segments([0] * 5, 1), ad.Tensor(a)
     ).data
-    single = triples.grouped_attention(
+    single = ad.grouped_attention(
         ad.Tensor(q[:1]), ad.Tensor(k[:1]), ad.Tensor(q[:1]), Segments([0], 1), ad.Tensor(a)
     ).data
     np.testing.assert_allclose(dup, single, atol=1e-12)
@@ -120,7 +120,7 @@ def test_attention_weights_sum_to_one(rng):
 def test_attention_empty_group_is_zero_row(rng):
     q = rng.normal(size=(2, 3))
     a = rng.normal(size=(6, 1))
-    out = triples.grouped_attention(
+    out = ad.grouped_attention(
         ad.Tensor(q), ad.Tensor(q), ad.Tensor(q), Segments([0, 0], 2), ad.Tensor(a)
     ).data
     np.testing.assert_array_equal(out[1], np.zeros(3))
