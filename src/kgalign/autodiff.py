@@ -342,6 +342,8 @@ def take_rows(a, rows):
     a = as_tensor(a)
     if not isinstance(rows, kernels.Segments):
         rows = kernels.Segments(rows, a.data.shape[0])
+    if rows.num_segments != a.data.shape[0]:
+        raise DimensionError(f"take_rows: {rows.num_segments} segments over {a.data.shape[0]} rows")
     ids, source = rows.ids, _saved(a)
     return _record(
         a.data[ids], (a,),
@@ -407,10 +409,13 @@ def grouped_attention(query, key, value, seg, attn_vec):
     operands = (query, key, value)
     tensors, gathers = zip(*(op if isinstance(op, tuple) else (op, None) for op in operands))
     attn_vec, n = as_tensor(attn_vec), len(seg.ids)
-    counts = [len(t.data) if g is None else len(g.ids) for t, g in zip(tensors, gathers)]
+    sizes = [len(t.data) for t in tensors]
+    counts = [s if g is None else len(g.ids) for s, g in zip(sizes, gathers)]
+    spans = [s if g is None else g.num_segments for s, g in zip(sizes, gathers)]
     dq, dk = (t.data.shape[-1] for t in tensors[:2])
-    if counts != [n] * 3 or attn_vec.data.shape != (dq + dk, 1):
-        raise DimensionError(f"grouped_attention: rows {counts}, {n} ids, attn {attn_vec.shape}")
+    if counts != [n] * 3 or spans != sizes or attn_vec.data.shape != (dq + dk, 1):
+        raise DimensionError(f"grouped_attention: rows {counts}, {n} ids, gathers over {spans} "
+                             f"of {sizes} rows, attn {attn_vec.shape}")
     sources, attn_data = [_saved(t) for t in tensors], _saved(attn_vec)
 
     def rows_of(r, data, block=np.s_[:]):  # a gathered operand's rows are a new array

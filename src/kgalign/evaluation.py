@@ -28,23 +28,15 @@ class EvalReport:
 
 
 def rank_pairs(query_embs, target_embs, pairs, pool):
-    """Pessimistic L1 rank of each pair's target among the sorted ``pool`` ids.
-
-    Queries are ranked in row blocks of at most ``kernels.BLOCK_ELEMS``
-    distances; each distance depends only on its two rows, so the ranks do
-    not depend on the blocking.
-    """
+    """Pessimistic L1 rank of each pair's target among the sorted ``pool`` ids."""
     pool = np.asarray(pool, dtype=np.int64)
     pos_in_pool = np.searchsorted(pool, pairs[:, 1])
     if (pos_in_pool >= len(pool)).any() or (pool[pos_in_pool] != pairs[:, 1]).any():
         raise ValueError("a test pair's target entity is missing from the candidate pool")
-    candidates = target_embs[pool]
     ranks = np.empty(len(pairs), dtype=np.int64)
-    step = max(1, kernels.BLOCK_ELEMS // max(len(pool), 1))
-    for lo in range(0, len(pairs), step):
-        dist = kernels.pairwise_manhattan(query_embs[pairs[lo:lo + step, 0]], candidates)
-        true_dist = dist[np.arange(len(dist)), pos_in_pool[lo:lo + step]]
-        ranks[lo:lo + step] = (dist <= true_dist[:, None]).sum(axis=1)
+    for rows, dist in kernels.distance_blocks(query_embs[pairs[:, 0]], target_embs[pool]):
+        true_dist = dist[np.arange(len(dist)), pos_in_pool[rows]]
+        ranks[rows] = (dist <= true_dist[:, None]).sum(axis=1)
     return ranks
 
 

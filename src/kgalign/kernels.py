@@ -8,14 +8,17 @@ from zero, exactly as ``np.add.at`` does, through the ``Segments``' column-
 compressed 0/1 matrix (column i holds a single 1 in row ``ids[i]``).
 Pairwise distances come from scipy's ``cdist``, which adds one dimension at
 a time from the first. Every output is therefore bitwise reproducible.
+Every query-by-candidate search (negatives, seed proposals, ranks) reads
+its distances from ``distance_blocks``, so the whole matrix never exists;
+each entry depends only on its two rows, so blocking changes no result.
 """
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial.distance import cdist
 
-# distance entries per row block of a query-by-candidate search (top-k
-# negatives, evaluation ranks), which bounds each block's temporaries
+# distance entries per block of ``distance_blocks`` (one row may exceed it),
+# which bounds every search's distances and their temporaries
 BLOCK_ELEMS = 1 << 22
 
 
@@ -62,3 +65,12 @@ def pairwise_manhattan(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     return cdist(a, b, "cityblock")
+
+
+def distance_blocks(queries, candidates):
+    """Yield ``(rows, block)``: ``block`` is a fresh array holding the ``rows``
+    slice of ``pairwise_manhattan(queries, candidates)``, at most
+    ``max(BLOCK_ELEMS, len(candidates))`` entries, in row order."""
+    step = max(1, BLOCK_ELEMS // max(len(candidates), 1))
+    for lo in range(0, len(queries), step):
+        yield slice(lo, lo + step), pairwise_manhattan(queries[lo:lo + step], candidates)

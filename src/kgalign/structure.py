@@ -6,8 +6,6 @@ identity survives the smoothing. Both graphs are encoded with the same
 parameters.
 """
 
-import numpy as np
-
 from . import autodiff as ad
 
 
@@ -15,11 +13,8 @@ def init_structure_params(rng, d_e, depth):
     if depth < 1:
         raise ValueError("depth must be at least 1")
     params = {}
-    bound = np.sqrt(6.0 / (2 * d_e))
     for layer in range(depth):
-        params[f"gcn.gate_w{layer}"] = ad.Tensor(
-            rng.uniform(-bound, bound, size=(d_e, d_e)), requires_grad=True
-        )
+        params[f"gcn.gate_w{layer}"] = ad.glorot(rng, d_e, d_e)
         params[f"gcn.gate_b{layer}"] = ad.zeros_param(d_e)
     return params
 

@@ -124,27 +124,24 @@ def alignment_loss(f1, f2, train_pairs, neg1, neg2, margin):
     return margin_loss(pos_rep, d_neg1, margin) + margin_loss(pos_rep, d_neg2, margin)
 
 
-def _k_nearest_rows(dist, k, exclude_cols):
-    """Per-row indices of the k smallest entries, ties broken by lower id.
+def _k_nearest_rows(queries, candidates, k, exclude_cols):
+    """Per query, the indices of the k L1-nearest candidates, ties broken by
+    lower id, with candidate ``exclude_cols[i]`` masked out for query i.
 
-    ``exclude_cols[i]`` is masked out of row i before selection. Each row
-    block finds every row's k-th smallest value with a partition, then sorts
-    only the entries at or below it by (row, value, id): the k smallest
-    entries of a row are a prefix of that order.
+    Each distance block finds every row's k-th smallest value with a
+    partition, then sorts only the entries at or below it by (row, value,
+    id): the k smallest entries of a row are a prefix of that order.
     """
-    n_rows, n_cols = dist.shape
-    if k >= n_cols:
-        raise ValueError(f"k={k} must be smaller than the candidate count {n_cols}")
-    out = np.empty((n_rows, k), dtype=np.int64)
-    step = max(1, kernels.BLOCK_ELEMS // n_cols)
-    for lo in range(0, n_rows, step):
-        block = dist[lo:lo + step].copy()
-        block[np.arange(len(block)), exclude_cols[lo:lo + step]] = np.inf
+    if k >= len(candidates):
+        raise ValueError(f"k={k} must be smaller than the candidate count {len(candidates)}")
+    out = np.empty((len(queries), k), dtype=np.int64)
+    for rows, block in kernels.distance_blocks(queries, candidates):
+        block[np.arange(len(block)), exclude_cols[rows]] = np.inf
         kth = np.partition(block, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(block <= kth[:, None])
-        order = np.lexsort((cols, block[rows, cols], rows))
-        starts = np.searchsorted(rows, np.arange(len(block)))
-        out[lo:lo + step] = cols[order][starts[:, None] + np.arange(k)]
+        hit_rows, cols = np.nonzero(block <= kth[:, None])
+        order = np.lexsort((cols, block[hit_rows, cols], hit_rows))
+        starts = np.searchsorted(hit_rows, np.arange(len(block)))
+        out[rows] = cols[order][starts[:, None] + np.arange(k)]
     return out
 
 
@@ -168,28 +165,30 @@ def refresh_negatives(f1, f2, train_pairs, k, epoch=0):
     """
     _check_finite(f"refresh_negatives at epoch {epoch}", f1, f2)
     ids1, ids2 = train_pairs[:, 0], train_pairs[:, 1]
-    # one distance matrix alive at a time
-    neg1 = _k_nearest_rows(kernels.pairwise_manhattan(f1[ids1], f1), k, ids1)
-    neg2 = _k_nearest_rows(kernels.pairwise_manhattan(f2[ids2], f2), k, ids2)
-    return neg1, neg2
+    return _k_nearest_rows(f1[ids1], f1, k, ids1), _k_nearest_rows(f2[ids2], f2, k, ids2)
 
 
-def expand_seeds_bidirectional(f1, f2, train_pairs, n1, n2):
+def expand_seeds_bidirectional(f1, f2, train_pairs):
     """Mutual-nearest proposals among entities not already in a training pair.
 
-    Nearest means smallest L1 distance, ties broken by lower id.
+    Nearest means smallest L1 distance, ties broken by lower id: within a
+    distance block by ``argmin``, across blocks by keeping the earlier one.
     """
     _check_finite("expand_seeds_bidirectional", f1, f2)
-    free1 = np.setdiff1d(np.arange(n1), train_pairs[:, 0])
-    free2 = np.setdiff1d(np.arange(n2), train_pairs[:, 1])
+    free1 = np.setdiff1d(np.arange(len(f1)), train_pairs[:, 0])
+    free2 = np.setdiff1d(np.arange(len(f2)), train_pairs[:, 1])
     if free1.size == 0 or free2.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    dist = kernels.pairwise_manhattan(f1[free1], f2[free2])
-    best2 = dist.argmin(axis=1)
-    best1 = dist.argmin(axis=0)
+    best2 = np.empty(free1.size, dtype=np.int64)
+    best1, best1_dist = np.zeros(free2.size, dtype=np.int64), np.full(free2.size, np.inf)
+    for rows, block in kernels.distance_blocks(f1[free1], f2[free2]):
+        best2[rows] = block.argmin(axis=1)
+        col_best = block.argmin(axis=0)
+        col_dist = block[col_best, np.arange(free2.size)]
+        closer = col_dist < best1_dist
+        best1[closer], best1_dist[closer] = col_best[closer] + rows.start, col_dist[closer]
     mutual = best1[best2] == np.arange(free1.size)
-    proposals = np.stack([free1[mutual], free2[best2[mutual]]], axis=1)
-    return proposals.astype(np.int64)
+    return np.stack([free1[mutual], free2[best2[mutual]]], axis=1).astype(np.int64)
 
 
 def encode_graph(graph, emb, params, cfg):
@@ -290,10 +289,7 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         with tape:
             if epoch % cfg.neg_refresh_epochs == 0:
                 if cfg.semi and epoch > 0:
-                    new_pairs = expand_seeds_bidirectional(
-                        f1.data, f2.data, train_pairs,
-                        task.g1.num_entities, task.g2.num_entities,
-                    )
+                    new_pairs = expand_seeds_bidirectional(f1.data, f2.data, train_pairs)
                     if len(new_pairs):
                         train_pairs = np.concatenate([train_pairs, new_pairs])
                 neg1, neg2 = refresh_negatives(

@@ -643,6 +643,18 @@ def test_grouped_attention_rejects_mismatched_operands():
         ad.grouped_attention(rows3, rows3, rows3, seg, ad.Tensor(np.ones((3, 1))))
 
 
+@pytest.mark.parametrize("role", [0, 1, 2])
+def test_gathers_reject_segments_over_another_row_count(role):
+    # a scatter over 4 segments would hand the 5-row tensor a 4-row gradient
+    x, four = ad.Tensor(np.ones((5, 2)), requires_grad=True), Segments([0, 3, 3], 4)
+    with pytest.raises(ad.DimensionError, match="take_rows"):
+        ad.take_rows(x, four)
+    operands = [ad.Tensor(np.ones((3, 2)))] * 3
+    operands[role] = (x, four)
+    with pytest.raises(ad.DimensionError, match="grouped_attention"):
+        ad.grouped_attention(*operands, Segments([0, 1, 1], 2), ad.Tensor(np.ones((4, 1))))
+
+
 def test_grouped_attention_peak_is_under_125_percent_of_logits_buffer(rng):
     # the neighbour call's shape: a gathered query, key and value one gather
     n, rows, d = 400, 4000, 64

@@ -87,6 +87,18 @@ def test_pairwise_manhattan_rejects_width_mismatch():
         kernels.pairwise_manhattan(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("block_elems, rows_per_block", [(1, 1), (7, 1), (20, 2), (1 << 22, 9)])
+def test_distance_blocks_tile_the_matrix_in_row_order(rng, monkeypatch, block_elems,
+                                                      rows_per_block):
+    a, b = rng.normal(size=(9, 5)), rng.normal(size=(8, 5))
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+    blocks = list(kernels.distance_blocks(a, b))
+    assert [rows.start for rows, _ in blocks] == list(range(0, 9, rows_per_block))
+    assert all(block.size <= max(block_elems, len(b)) for _, block in blocks)
+    whole = np.concatenate([block for _, block in blocks])
+    np.testing.assert_array_equal(whole, kernels.pairwise_manhattan(a, b))
+
+
 # ------------------------------------------- properties against the oracles
 
 

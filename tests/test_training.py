@@ -118,7 +118,7 @@ def test_expansion_finds_single_mutual_pair():
     f1 = np.array([[0.0, 0.0], [5.0, 5.0], [20.0, 20.0]])
     f2 = np.array([[40.0, 40.0], [30.0, 30.0], [5.1, 5.1]])
     pairs = np.empty((0, 2), dtype=np.int64)
-    got = training.expand_seeds_bidirectional(f1, f2, pairs, 3, 3)
+    got = training.expand_seeds_bidirectional(f1, f2, pairs)
     assert [1, 2] in got.tolist()
     # every proposal is mutual: ids appear at most once per side
     assert len(set(got[:, 0].tolist())) == len(got)
@@ -129,7 +129,7 @@ def test_expansion_never_reproposes_aligned_entities():
     f1 = np.array([[0.0], [1.0], [2.0]])
     f2 = np.array([[0.0], [1.0], [2.0]])
     pairs = np.array([[0, 0], [1, 1]])
-    got = training.expand_seeds_bidirectional(f1, f2, pairs, 3, 3)
+    got = training.expand_seeds_bidirectional(f1, f2, pairs)
     assert got.tolist() == [[2, 2]]
 
 
@@ -138,7 +138,7 @@ def test_expansion_requires_mutuality():
     f1 = np.array([[0.0], [0.15]])
     f2 = np.array([[0.1], [50.0]])
     pairs = np.empty((0, 2), dtype=np.int64)
-    got = training.expand_seeds_bidirectional(f1, f2, pairs, 2, 2)
+    got = training.expand_seeds_bidirectional(f1, f2, pairs)
     assert got.tolist() == [[1, 0]]  # 0 -> 0 is not mutual, 1 <-> 0 is
 
 
@@ -146,44 +146,61 @@ def test_expansion_requires_mutuality():
 
 
 @st.composite
-def tied_distances(draw):
-    """Distance rows drawn from a few levels, so ties straddle the k-th entry."""
-    rows = draw(st.integers(1, 12))
-    cols = draw(st.integers(2, 15))
+def tied_embeddings(draw):
+    """Queries and candidates on a small integer grid, so distance ties
+    straddle the k-th entry."""
+    rows, cols, dim = draw(st.integers(1, 12)), draw(st.integers(2, 15)), draw(st.integers(1, 2))
     k = draw(st.integers(1, cols - 1))
-    levels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf]),
-                           min_size=rows * cols, max_size=rows * cols))
+
+    def points(n):
+        coords = draw(st.lists(st.integers(0, 2), min_size=n * dim, max_size=n * dim))
+        return np.array(coords, dtype=np.float64).reshape(n, dim)
+
     exclude = draw(st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows))
-    return np.array(levels).reshape(rows, cols), k, np.array(exclude)
+    return points(rows), points(cols), k, np.array(exclude)
+
+
+def brute_l1(queries, candidates):
+    return np.abs(queries[:, None, :] - candidates[None, :, :]).sum(axis=2)
+
+
+BLOCK_SIZES = [1, 7, kernels.BLOCK_ELEMS]  # one row a block, a few rows, all rows
 
 
 @settings(max_examples=80, deadline=None)
-@given(tied_distances(), st.sampled_from([1, 7, 1 << 22]))
+@given(tied_embeddings(), st.sampled_from(BLOCK_SIZES))
 def test_k_nearest_rows_equals_sorting_oracle(case, block_elems):
-    dist, k, exclude = case
+    queries, candidates, k, exclude = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
-        got = training._k_nearest_rows(dist, k, exclude)
-    np.testing.assert_array_equal(got, naive.k_nearest_by_sorting(dist, k, exclude))
+        got = training._k_nearest_rows(queries, candidates, k, exclude)
+    want = naive.k_nearest_by_sorting(brute_l1(queries, candidates), k, exclude)
+    np.testing.assert_array_equal(got, want)
 
 
-def test_k_nearest_rows_tie_at_kth_takes_lower_ids():
-    dist = np.array([[3.0, 1.0, 2.0, 1.0, 2.0, 2.0, 0.5]])
-    got = training._k_nearest_rows(dist, 3, np.array([6]))
-    assert got.tolist() == [[1, 3, 2]]
+def test_k_nearest_rows_tie_at_kth_takes_lower_ids(monkeypatch):
+    # distances [3, 1, 2, 1, 2, 2, 0.5] and [1, 1, 0, 1, 0, 0, 1.5]; the
+    # k-th entry ties with the next, and the excluded id is the nearest
+    candidates = np.array([[3.0], [1.0], [2.0], [1.0], [2.0], [2.0], [0.5]])
+    for block_elems in BLOCK_SIZES:
+        monkeypatch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+        got = training._k_nearest_rows(np.array([[0.0], [2.0]]), candidates, 3, np.array([6, 2]))
+        assert got.tolist() == [[1, 3, 2], [4, 5, 0]], block_elems
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
-def test_expansion_equals_mutual_nearest_oracle(n1, n2, seed):
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+       st.sampled_from(BLOCK_SIZES))
+def test_expansion_equals_mutual_nearest_oracle(n1, n2, seed, block_elems):
     rng = np.random.default_rng(seed)
-    # integer coordinates make distance ties common
+    # integer coordinates make distance ties common, within and across blocks
     f1 = rng.integers(0, 3, size=(n1, 2)).astype(np.float64)
     f2 = rng.integers(0, 3, size=(n2, 2)).astype(np.float64)
     pairs = np.empty((0, 2), dtype=np.int64)
-    got = training.expand_seeds_bidirectional(f1, f2, pairs, n1, n2)
-    dist = np.abs(f1[:, None, :] - f2[None, :, :]).sum(axis=2)
-    assert [tuple(p) for p in got.tolist()] == naive.mutual_nearest(dist)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+        got = training.expand_seeds_bidirectional(f1, f2, pairs)
+    assert [tuple(p) for p in got.tolist()] == naive.mutual_nearest(brute_l1(f1, f2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -201,7 +218,7 @@ def test_expansion_rejects_non_finite_embeddings(rng, bad):
     f2 = rng.normal(size=(5, 3))
     f1[3, 0] = bad
     with pytest.raises(training.NumericalError, match="non-finite"):
-        training.expand_seeds_bidirectional(f1, f2, np.empty((0, 2), dtype=np.int64), 5, 5)
+        training.expand_seeds_bidirectional(f1, f2, np.empty((0, 2), dtype=np.int64))
 
 
 # ----------------------------------------------------------------- training
@@ -504,5 +521,25 @@ GOLDEN_FIT = {
 def test_fit_final_embeddings_match_golden_hash(small_task, name):
     overrides, want = GOLDEN_FIT[name]
     result = training.fit(small_task, TrainConfig(d_r=6, d_t=6, **overrides))
+    got = hashlib.sha256(result.final_emb1.tobytes() + result.final_emb2.tobytes())
+    assert got.hexdigest() == want
+
+
+def test_fit_searches_hold_one_distance_block_at_a_time(small_task, monkeypatch):
+    # semi mode runs all three searches: negatives, seed proposals, ranks
+    overrides, want = GOLDEN_FIT["semi"]
+    block_elems = 300  # under the whole matrix of each search's first call on small_task
+    calls = []
+    real = kernels.pairwise_manhattan
+
+    def recording(a, b):
+        dist = real(a, b)
+        calls.append((dist.size, len(b)))
+        return dist
+
+    monkeypatch.setattr(kernels, "pairwise_manhattan", recording)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+    result = training.fit(small_task, TrainConfig(d_r=6, d_t=6, **overrides))
+    assert calls and all(size <= max(block_elems, n) for size, n in calls)
     got = hashlib.sha256(result.final_emb1.tobytes() + result.final_emb2.tobytes())
     assert got.hexdigest() == want
