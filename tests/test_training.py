@@ -145,15 +145,20 @@ def test_expansion_requires_mutuality():
 # ------------------------------------------------- search side equivalence
 
 
+# a small grid makes distance ties common; the huge finite coordinates make
+# some L1 sums overflow to inf (1e308 + 1e308 in 2-d, 1e308 - -1e308 in 1-d)
+COORDS = [0.0, 1.0, 2.0, 1e308, -1e308]
+
+
 @st.composite
 def tied_embeddings(draw):
-    """Queries and candidates on a small integer grid, so distance ties
-    straddle the k-th entry."""
+    """Queries and candidates on a few coordinates, so distance ties straddle
+    the k-th entry and some rows' k-th distance is inf."""
     rows, cols, dim = draw(st.integers(1, 12)), draw(st.integers(2, 15)), draw(st.integers(1, 2))
     k = draw(st.integers(1, cols - 1))
 
     def points(n):
-        coords = draw(st.lists(st.integers(0, 2), min_size=n * dim, max_size=n * dim))
+        coords = draw(st.lists(st.sampled_from(COORDS), min_size=n * dim, max_size=n * dim))
         return np.array(coords, dtype=np.float64).reshape(n, dim)
 
     exclude = draw(st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows))
@@ -161,7 +166,8 @@ def tied_embeddings(draw):
 
 
 def brute_l1(queries, candidates):
-    return np.abs(queries[:, None, :] - candidates[None, :, :]).sum(axis=2)
+    with np.errstate(over="ignore"):
+        return np.abs(queries[:, None, :] - candidates[None, :, :]).sum(axis=2)
 
 
 BLOCK_SIZES = [1, 7, kernels.BLOCK_ELEMS]  # one row a block, a few rows, all rows
@@ -193,9 +199,10 @@ def test_k_nearest_rows_tie_at_kth_takes_lower_ids(monkeypatch):
        st.sampled_from(BLOCK_SIZES))
 def test_expansion_equals_mutual_nearest_oracle(n1, n2, seed, block_elems):
     rng = np.random.default_rng(seed)
-    # integer coordinates make distance ties common, within and across blocks
-    f1 = rng.integers(0, 3, size=(n1, 2)).astype(np.float64)
-    f2 = rng.integers(0, 3, size=(n2, 2)).astype(np.float64)
+    # few coordinates make distance ties common, within and across blocks,
+    # and include inf distances
+    f1 = rng.choice(COORDS, size=(n1, 2))
+    f2 = rng.choice(COORDS, size=(n2, 2))
     pairs = np.empty((0, 2), dtype=np.int64)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
