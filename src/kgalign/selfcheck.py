@@ -4,10 +4,11 @@ Every differentiable operation and each composed stage is checked against
 central differences; the grouped aggregations, the rank path and the
 normalized adjacency are checked on random graph instances against the
 brute-force references in ``kgalign.oracles``; the training step's
-per-graph recompute is checked against one sweep of a single tape. Used by
+staged recompute is checked against one sweep of a single tape. Used by
 the ``check`` CLI command and the acceptance tests.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -341,7 +342,7 @@ def run_oracle_checks(trials=20, seed=99):
     return results
 
 
-# ------------------------------------------------------- per-graph recompute
+# ---------------------------------------------------------- staged recompute
 
 STEP_SEED = 5
 
@@ -364,33 +365,37 @@ def single_tape_grads(task, params, cfg, pairs):
 
 
 def per_graph_grads(task, params, cfg, pairs):
-    """The same gradients from the training step's per-graph recompute."""
-    tape, f1, f2 = training.step_pass(task, params, cfg)
+    """The same gradients from the training step's staged recompute."""
+    tape, body1, f1, f2 = training.step_pass(task, params, cfg)
     with tape:
         neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
         loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
-    training.step_backward(task, params, cfg, tape, loss, f1)
+    tape.backward(loss)
+    seed = training.head_backward(task, params, body1, f1.grad)
+    training.body_backward(task, params, cfg, seed)
     return _take_grads(params)
 
 
 def run_step_check():
-    """Exact equality of every parameter gradient of one per-graph step with
-    a single-tape sweep, on a small generated task.
+    """Exact equality of every parameter gradient of one training step with
+    a single-tape sweep, on a small generated task, worst over every model
+    variant and cycle mode.
 
     The recompute assumes a deterministic forward pass, which this checks
     under the process's BLAS settings; a gradient present on one side only
     counts as an infinite difference.
     """
     task = kg.generate_synthetic_pair(60, 6, 4, emb_dim=12, rng_seed=STEP_SEED)
-    cfg = training.TrainConfig(d_r=6, d_t=6)
-    params = training.init_params(task, cfg, np.random.default_rng(STEP_SEED))
-    want = single_tape_grads(task, params, cfg, task.seeds_train)
-    got = per_graph_grads(task, params, cfg, task.seeds_train)
     worst = 0.0
-    for key in want:
-        if want[key] is None or got[key] is None:
-            diff = 0.0 if want[key] is got[key] else math.inf
-        else:
-            diff = _max_abs_diff(got[key], want[key])
-        worst = max(worst, diff)
+    for variant, mode in itertools.product(triples.VARIANTS, enhancer.CYCLE_STEPS):
+        cfg = training.TrainConfig(d_r=6, d_t=6, variant=variant, cycle_mode=mode)
+        params = training.init_params(task, cfg, np.random.default_rng(STEP_SEED))
+        want = single_tape_grads(task, params, cfg, task.seeds_train)
+        got = per_graph_grads(task, params, cfg, task.seeds_train)
+        for key in want:
+            if want[key] is None or got[key] is None:
+                diff = 0.0 if want[key] is got[key] else math.inf
+            else:
+                diff = _max_abs_diff(got[key], want[key])
+            worst = max(worst, diff)
     return CheckResult("step/recompute", worst == 0.0, f"max_abs_diff={worst:.3e}")

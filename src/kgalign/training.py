@@ -2,11 +2,14 @@
 
 One epoch is a forward pass over both graphs (shared parameters), a hinge
 loss over training pairs against their cached negatives, a reverse sweep,
-and one optimizer step. The sweep holds one graph's activations at a time:
-graph 1's pass is kept only as its output and re-run on a tape of its own
-once the loss and graph 2 have been swept. Negatives are refreshed from the
-current embeddings every few epochs; in semi-supervised mode the training
-pairs grow at each refresh by mutual-nearest cross-graph proposals.
+and one optimizer step. The sweep holds one tape's activations at a time:
+graph 1's pass is kept only as its output and its embedding before neighbor
+re-aggregation. Once the loss and graph 2 have been swept and the pass is
+dropped, graph 1 is re-run in two stages, each on a tape of its own: the
+re-aggregation from that embedding, then the body before it. Negatives are
+refreshed from the current embeddings every few epochs; in semi-supervised
+mode the training pairs grow at each refresh by mutual-nearest cross-graph
+proposals.
 """
 
 import contextlib
@@ -191,14 +194,26 @@ def expand_seeds_bidirectional(f1, f2, train_pairs):
     return np.stack([free1[mutual], free2[best2[mutual]]], axis=1).astype(np.int64)
 
 
+def encode_body(graph, emb, params, cfg):
+    """A graph's entity embedding before neighbor re-aggregation: structure
+    encoding, then triple encoding and the cycle, which ``wo-C`` skips."""
+    x = structure.encode_structure(emb, graph.adjacency_norm, params, cfg.gcn_depth)
+    if cfg.variant == "wo-C":
+        return x  # without the cycle nothing reads the triple representation
+    triple_repr = triples.encode_triples(x, graph, params, variant=cfg.variant)
+    return enhancer.cycle_co_enhance(x, triple_repr, graph, params, cfg.cycle_mode)
+
+
+def encode_head(graph, x, params):
+    """Neighbor re-aggregation of ``encode_body``'s embedding: the graph's output."""
+    return enhancer.neighbor_reaggregate(
+        x, graph.neighbor_src, graph.neighbor_dst, params["enhance.neighbor_a"]
+    )
+
+
 def encode_graph(graph, emb, params, cfg):
     """One graph through structure encoding, triple encoding, and enhancement."""
-    x = structure.encode_structure(emb, graph.adjacency_norm, params, cfg.gcn_depth)
-    triple_repr = triples.encode_triples(x, graph, params, variant=cfg.variant)
-    return enhancer.enhance_entities(
-        x, triple_repr, graph, params, mode=cfg.cycle_mode,
-        skip_cycle=(cfg.variant == "wo-C"),
-    )
+    return encode_head(graph, encode_body(graph, emb, params, cfg), params)
 
 
 def forward(task, params, cfg):
@@ -208,32 +223,51 @@ def forward(task, params, cfg):
 
 
 def step_pass(task, params, cfg, taped=True):
-    """The pass a training step reads: ``(tape, f1, f2)``.
+    """The pass a training step reads: ``(tape, body1, f1, f2)``.
 
-    Graph 1 runs untaped and ``f1`` is a leaf holding its output, so the
-    loss's gradient collects on it. Graph 2 runs on ``tape`` when ``taped``
-    (``tape`` is None otherwise), which the loss then extends.
+    Graph 1 runs untaped: ``body1`` is its ``encode_body`` array and ``f1``
+    a leaf holding its output, so the loss's gradient collects on it. Graph
+    2 runs on ``tape`` when ``taped`` (``tape`` is None otherwise), which
+    the loss then extends. ``tape.backward(loss)``, ``head_backward`` and
+    ``body_backward`` then sweep the step.
     """
-    out1 = encode_graph(task.g1, params["emb1"], params, cfg)
+    body1 = encode_body(task.g1, params["emb1"], params, cfg)
+    f1 = ad.Tensor(encode_head(task.g1, body1, params).data, requires_grad=True)
     with ad.Tape() if taped else contextlib.nullcontext() as tape:
         f2 = encode_graph(task.g2, params["emb2"], params, cfg)
-    return tape, ad.Tensor(out1.data, requires_grad=True), f2
+    return tape, body1.data, f1, f2
 
 
-def step_backward(task, params, cfg, tape, loss, f1):
-    """Parameter gradients of ``loss`` read from a ``step_pass``.
+def head_backward(task, params, body1, seed):
+    """Re-run graph 1's ``encode_head`` on a tape of its own, from a leaf
+    holding ``step_pass``'s ``body1``, and sweep it from ``seed``, the
+    gradient the loss left on ``f1``. Returns the gradient left on that
+    leaf, the seed of ``body_backward``.
 
-    Sweeps the loss and graph 2, then re-runs graph 1 on a tape of its own
-    and sweeps it from the gradient the loss left on ``f1``. The forward
-    pass is deterministic and no parameter changes in between, so every
-    gradient is bitwise equal to one sweep of a tape holding both graphs
-    and the loss: each parameter receives its contributions in that sweep's
-    order, graph 2's then graph 1's.
+    Call it once the loss and graph 2 are swept and the rest of the pass is
+    dropped, so the re-aggregation's logit buffer meets no other tape.
     """
-    tape.backward(loss)
-    with ad.Tape() as tape1:
-        out1 = encode_graph(task.g1, params["emb1"], params, cfg)
-    tape1.backward(out1, f1.grad)
+    leaf = ad.Tensor(body1, requires_grad=True)
+    with ad.Tape() as tape:
+        out1 = encode_head(task.g1, leaf, params)
+    tape.backward(out1, seed)
+    return leaf.grad
+
+
+def body_backward(task, params, cfg, seed):
+    """Re-run graph 1's ``encode_body`` on a tape of its own and sweep it
+    from ``seed``, the gradient ``head_backward`` returned.
+
+    The forward pass is deterministic and no parameter changes in between,
+    so every gradient is bitwise equal to one sweep of a tape holding both
+    graphs and the loss: each parameter receives its contributions in that
+    sweep's order (the loss's, graph 2's, graph 1's head's, graph 1's
+    body's), and each seed is built by the same additions as the gradient
+    of that tape's node it stands for.
+    """
+    with ad.Tape() as tape:
+        body1 = encode_body(task.g1, params["emb1"], params, cfg)
+    tape.backward(body1, seed)
 
 
 def check_task(task, cfg):
@@ -284,7 +318,7 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     # negatives and seed proposals read the pass run after the previous
     # step, which also feeds that step's evaluation; the pass after the
     # last step is untaped and is the output
-    tape, f1, f2 = step_pass(task, params, cfg, taped=cfg.epochs > 0)
+    tape, body1, f1, f2 = step_pass(task, params, cfg, taped=cfg.epochs > 0)
     for epoch in range(cfg.epochs):
         with tape:
             if epoch % cfg.neg_refresh_epochs == 0:
@@ -299,7 +333,15 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
-        step_backward(task, params, cfg, tape, loss, f1)
+        tape.backward(loss)
+        seed = f1.grad
+        # each stage of graph 1's re-run holds nothing of the step but its
+        # seed gradient, and the pass after the step nothing at all
+        del tape, loss, f1, f2
+        seed = head_backward(task, params, body1, seed)
+        del body1
+        body_backward(task, params, cfg, seed)
+        del seed
         grads = [params[k].grad for k in order]
         _check_finite_params("gradient", epoch, order, grads)
         values = [params[k].data for k in order]
@@ -307,7 +349,7 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         _check_finite_params("value", epoch, order, values)
         ad.zero_grads(params.values())
 
-        tape, f1, f2 = step_pass(task, params, cfg, taped=epoch + 1 < cfg.epochs)
+        tape, body1, f1, f2 = step_pass(task, params, cfg, taped=epoch + 1 < cfg.epochs)
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
             _check_finite(f"evaluation after epoch {epoch}", f1.data, f2.data)

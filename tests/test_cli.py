@@ -435,16 +435,16 @@ def test_check_detects_injected_backward_sign_flip(monkeypatch, capsys):
 
 
 def test_check_detects_non_deterministic_forward_pass(monkeypatch, capsys):
-    # every pass scales its output a little more, so the re-run of graph 1
-    # differs from the pass the loss read
+    # every body pass scales its output a little more, so the re-run of
+    # graph 1's body differs from the pass the loss read
     passes = []
-    real = training.encode_graph
+    real = training.encode_body
 
     def drifting(*args, **kwargs):
         passes.append(1)
         return real(*args, **kwargs) * (1.0 + 1e-12 * len(passes))
 
-    monkeypatch.setattr(training, "encode_graph", drifting)
+    monkeypatch.setattr(training, "encode_body", drifting)
     assert run_cli("check", "--trials", "1") == EXIT_NUMERIC
     assert "step/recompute\tFAIL" in capsys.readouterr().out
 

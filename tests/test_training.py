@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgalign import autodiff as ad
-from kgalign import evaluation, kernels, kg, selfcheck, training
+from kgalign import evaluation, kernels, kg, selfcheck, training, triples
 from kgalign.training import TrainConfig
 from kgalign import oracles as naive
 
@@ -422,40 +422,44 @@ def test_load_checkpoint_rejects_damaged_or_foreign_file(tmp_path, small_task, a
         training.load_checkpoint(path, small_task, TrainConfig())
 
 
-def _count_graph_passes(monkeypatch, task):
-    """Per graph, the number of ``encode_graph`` passes a fit runs."""
-    calls = {1: 0, 2: 0}
-    real = training.encode_graph
+def _count_stage_passes(monkeypatch, task):
+    """Per stage, per graph, the number of passes a fit runs of it."""
+    calls = {"body": {1: 0, 2: 0}, "head": {1: 0, 2: 0}}
+    for stage in calls:
+        real = getattr(training, f"encode_{stage}")
 
-    def counting(graph, *args, **kwargs):
-        calls[1 if graph is task.g1 else 2] += 1
-        return real(graph, *args, **kwargs)
+        def counting(graph, *args, _stage=stage, _real=real, **kwargs):
+            calls[_stage][1 if graph is task.g1 else 2] += 1
+            return _real(graph, *args, **kwargs)
 
-    monkeypatch.setattr(training, "encode_graph", counting)
+        monkeypatch.setattr(training, f"encode_{stage}", counting)
     return calls
 
 
 def test_supervised_fit_runs_one_forward_per_epoch_plus_final(monkeypatch, small_task):
-    calls = _count_graph_passes(monkeypatch, small_task)
+    calls = _count_stage_passes(monkeypatch, small_task)
     training.fit(small_task, TrainConfig(epochs=6, d_r=6, d_t=6, rng_seed=0))
-    # negatives reuse the pass of epochs 0 and 5; each step re-runs graph 1
-    # on a tape for its sweep
-    assert calls == {1: 7 + 6, 2: 7}
+    # negatives reuse the pass of epochs 0 and 5; each step re-runs both of
+    # graph 1's stages on tapes for its sweep
+    passes = {1: 7 + 6, 2: 7}
+    assert calls == {"body": passes, "head": passes}
 
 
 def test_semi_fit_reuses_last_evaluation_pass_as_output(monkeypatch, small_task):
-    calls = _count_graph_passes(monkeypatch, small_task)
+    calls = _count_stage_passes(monkeypatch, small_task)
     cfg = TrainConfig(epochs=3, d_r=6, d_t=6, rng_seed=0, semi=True,
                       neg_refresh_epochs=1, eval_every=1)
     training.fit(small_task, cfg)
     # epoch 0's pass, then one evaluation pass per epoch: the first two are
     # reused by epochs 1 and 2, the last is the output; plus graph 1's
     # re-run in each step
-    assert calls == {1: 4 + 3, 2: 4}
+    passes = {1: 4 + 3, 2: 4}
+    assert calls == {"body": passes, "head": passes}
 
 
 @pytest.mark.parametrize(
-    "variant, cycle_mode", [("full", 2), ("wo-E", 2), ("wo-T", 2), ("wo-C", 2), ("full", 3)]
+    "variant, cycle_mode",
+    [("full", 1), ("full", 2), ("wo-E", 2), ("wo-T", 2), ("wo-C", 2), ("full", 3)],
 )
 def test_per_graph_step_gradients_equal_single_tape_sweep(small_task, variant, cycle_mode):
     cfg = TrainConfig(d_r=6, d_t=6, variant=variant, cycle_mode=cycle_mode)
@@ -469,6 +473,14 @@ def test_per_graph_step_gradients_equal_single_tape_sweep(small_task, variant, c
             assert got[key] is None, key
         else:
             assert np.array_equal(got[key], want[key]), key
+
+
+def test_wo_c_fit_runs_no_triple_encoder(monkeypatch, small_task):
+    # without the cycle nothing reads the triple representation
+    calls = []
+    monkeypatch.setattr(triples, "encode_triples", lambda *args, **kwargs: calls.append(1))
+    training.fit(small_task, TrainConfig(epochs=2, d_r=6, d_t=6, variant="wo-C"))
+    assert calls == []
 
 
 @pytest.mark.parametrize("semi", [False, True])
