@@ -8,13 +8,15 @@ visits each recorded node exactly once.
 A record holds gradient slots (``_Node``), not tensors, and each backward
 rule captures only the arrays and shapes it reads. An intermediate array is
 therefore freed as soon as the model code drops it, unless a backward rule
-needs it. Only ``matmul``, ``mul``, ``absval`` and ``grouped_attention``
-read input arrays, through ``_saved``. The output of a copy op (``concat``,
-``take_rows``) is never kept for them: ``_saved`` hands back a function
-that rebuilds it bit for bit from its sources, so the copy exists again
-only while the reading rule runs. This needs every source array unchanged
-between the forward pass and the sweep; ``adam_step`` and ``fd_check``'s
-perturbations only run after it.
+needs it. Only ``matmul``, ``mul``, ``absval``, ``grouped_attention`` and
+``checkpoint`` read input arrays, through ``_saved``. The output of a copy
+op (``concat``, ``take_rows``) is never kept for them: ``_saved`` hands
+back a function that rebuilds it bit for bit from its sources, so the copy
+exists again only while the reading rule runs. This needs every source
+array unchanged between the forward pass and the sweep; ``adam_step`` and
+``fd_check``'s perturbations only run after it. ``checkpoint`` goes
+further: it keeps none of a function's activations and re-runs the
+function in the sweep.
 
 The sweep consumes the tape: each op record is dropped once its backward
 has run, and each intermediate gradient once it has been passed on, so
@@ -65,10 +67,10 @@ class Tape:
 
         Without ``grad`` the output must be a scalar loss, seeded with 1.
         With ``grad`` (an array of the output's shape, such as the gradient
-        a later tape left on a leaf standing for this output) the sweep
-        starts from it, so a pass can be swept after the tape that read its
-        output: leaves then receive this tape's contributions after that
-        tape's, added as if both had been one tape.
+        that reached a ``checkpoint`` op) the sweep starts from it, so a
+        pass can be swept after the tape that read its output: leaves then
+        receive this tape's contributions after that tape's, added as if
+        both had been one tape.
 
         Consumes the tape: each record is popped, freeing its closure and the
         arrays it captured, and each op output's ``grad`` is reset to ``None``
@@ -100,6 +102,7 @@ class Tape:
                 if part is None or node is None:
                     continue
                 node.grad = part if node.grad is None else node.grad + part
+            part = None  # not kept through a later op's nested sweep (``checkpoint``)
 
 
 class _Node:
@@ -464,6 +467,40 @@ def grouped_attention(query, key, value, seg, attn_vec):
         return parts
 
     return _record(out, [attn_vec] + [tensors[slot[0]] for slot in slots], backward)
+
+
+def checkpoint(fn, x):
+    """``fn(x)`` recorded as one op that re-runs ``fn`` in the sweep, so the
+    tape keeps none of ``fn``'s activations (gradient checkpointing, Chen et
+    al. 2016, arXiv:1604.06174). Off a tape it is a plain call.
+
+    The op's backward re-runs ``fn(x)`` on a tape of its own and sweeps it
+    from the output's gradient; that sweep leaves gradients on ``x``'s node
+    and on every leaf ``fn`` reads, in the order one tape would. ``fn`` must
+    be deterministic and read only arrays left unchanged until the sweep.
+    """
+    if not _TAPES:
+        return fn(x)
+    if not x.requires_grad:
+        raise ValueError("checkpoint: x needs no gradient, so no op would be recorded "
+                         "and the gradients of what fn reads would be lost")
+    tapes = _TAPES[:]
+    _TAPES.clear()
+    try:
+        out = fn(x).data
+    finally:
+        _TAPES[:] = tapes
+    node, source = x._node, _saved(x)
+
+    def backward(g):
+        rerun_x = Tensor(source(), requires_grad=True)
+        rerun_x._node = node
+        with Tape() as tape:
+            rerun = fn(rerun_x)
+        tape.backward(rerun, g)
+        return ()
+
+    return _record(out, (x,), backward)
 
 
 # ------------------------------------------------------------- verification

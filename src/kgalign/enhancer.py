@@ -59,15 +59,3 @@ def neighbor_reaggregate(x, src, dst, attn_vec):
     agg = ad.grouped_attention((x, src), neighbors, neighbors, src, attn_vec)
     return ad.concat(x, ad.relu(agg))
 
-
-def enhance_entities(x, triple_repr, graph, params, mode=2, skip_cycle=False):
-    """Cycle co-enhancement (unless skipped) followed by neighbor re-aggregation.
-
-    ``graph`` is a ``kg.GraphStructure``: its head and tail segments drive
-    the cycle and its neighbor segments the re-aggregation.
-    """
-    if not skip_cycle:
-        x = cycle_co_enhance(x, triple_repr, graph, params, mode)
-    return neighbor_reaggregate(
-        x, graph.neighbor_src, graph.neighbor_dst, params["enhance.neighbor_a"]
-    )

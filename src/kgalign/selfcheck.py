@@ -3,8 +3,8 @@
 Every differentiable operation and each composed stage is checked against
 central differences; the grouped aggregations, the rank path and the
 normalized adjacency are checked on random graph instances against the
-brute-force references in ``kgalign.oracles``; the training step's
-staged recompute is checked against one sweep of a single tape. Used by
+brute-force references in ``kgalign.oracles``; the training pass's
+checkpointed recompute is checked against one sweep of a single tape. Used by
 the ``check`` CLI command and the acceptance tests.
 """
 
@@ -124,6 +124,20 @@ def _fd_case_grouped_attention(rng):
     return fn, [x, q, a1, a2]
 
 
+def _fd_case_checkpoint(rng):
+    # two chained checkpoints, as graph 1 in a training pass; the first
+    # one's output is also read outside the second
+    x, w, v = _param(rng, (4, 3)), _param(rng, (3, 3)), _param(rng, (3, 2))
+    c = _away_from_zero(rng, (4, 2))
+
+    def fn(*_):
+        h = ad.checkpoint(lambda a: ad.tanh(a @ w), x)
+        out = ad.checkpoint(lambda a: ad.tanh(a @ v), h)
+        return ad.reduce_sum(out * c) + ad.reduce_sum(h * h)
+
+    return fn, [x, w, v]
+
+
 def _fd_case_structure_encoder(rng):
     n, d_e, depth = 5, 3, 2
     trips = naive.random_connected_triples(rng, n, 8, 2)
@@ -160,8 +174,8 @@ def _fd_case_entity_enhancer(rng):
     params = enhancer.init_enhancer_params(rng, 4, width)
 
     def fn(*_):
-        out = enhancer.enhance_entities(x, t_repr, graph, params, mode=2)
-        return ad.reduce_sum(out)
+        out = enhancer.cycle_co_enhance(x, t_repr, graph, params, mode=2)
+        return ad.reduce_sum(training.encode_head(graph, out, params))
 
     return fn, [x, t_repr, params["enhance.head_w"], params["enhance.neighbor_a"]]
 
@@ -196,6 +210,7 @@ FD_CASES = [
     ("segment_softmax", _fd_case_segment_softmax),
     ("segment_sum", _fd_case_segment_sum),
     ("grouped_attention", _fd_case_grouped_attention),
+    ("checkpoint", _fd_case_checkpoint),
     ("structure_encoder", _fd_case_structure_encoder),
     ("triple_encoder", _fd_case_triple_encoder),
     ("entity_enhancer", _fd_case_entity_enhancer),
@@ -342,12 +357,24 @@ def run_oracle_checks(trials=20, seed=99):
     return results
 
 
-# ---------------------------------------------------------- staged recompute
+# ---------------------------------------------------- checkpointed recompute
 
 STEP_SEED = 5
 
 
-def _take_grads(params):
+def one_tape_forward(task, params, cfg):
+    """Both graphs' outputs with no checkpoint: on a tape, one tape holds
+    both passes, the reference that ``training.forward`` is checked against."""
+    return (training.encode_graph(task.g1, params["emb1"], params, cfg),
+            training.encode_graph(task.g2, params["emb2"], params, cfg))
+
+
+def _step_grads(forward, task, params, cfg, pairs):
+    with ad.Tape() as tape:
+        f1, f2 = forward(task, params, cfg)
+        neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
+        loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
+    tape.backward(loss)
     grads = {key: params[key].grad for key in sorted(params)}
     ad.zero_grads(params.values())
     return grads
@@ -356,24 +383,12 @@ def _take_grads(params):
 def single_tape_grads(task, params, cfg, pairs):
     """Parameter gradients (None where none flows) of one sweep of a tape
     holding both graphs' passes and the loss."""
-    with ad.Tape() as tape:
-        f1, f2 = training.forward(task, params, cfg)
-        neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
-        loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
-    tape.backward(loss)
-    return _take_grads(params)
+    return _step_grads(one_tape_forward, task, params, cfg, pairs)
 
 
 def per_graph_grads(task, params, cfg, pairs):
-    """The same gradients from the training step's staged recompute."""
-    tape, body1, f1, f2 = training.step_pass(task, params, cfg)
-    with tape:
-        neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
-        loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
-    tape.backward(loss)
-    seed = training.head_backward(task, params, body1, f1.grad)
-    training.body_backward(task, params, cfg, seed)
-    return _take_grads(params)
+    """The same gradients from the training pass, graph 1 checkpointed."""
+    return _step_grads(training.forward, task, params, cfg, pairs)
 
 
 def run_step_check():

@@ -3,13 +3,11 @@
 One epoch is a forward pass over both graphs (shared parameters), a hinge
 loss over training pairs against their cached negatives, a reverse sweep,
 and one optimizer step. The sweep holds one tape's activations at a time:
-graph 1's pass is kept only as its output and its embedding before neighbor
-re-aggregation. Once the loss and graph 2 have been swept and the pass is
-dropped, graph 1 is re-run in two stages, each on a tape of its own: the
-re-aggregation from that embedding, then the body before it. Negatives are
-refreshed from the current embeddings every few epochs; in semi-supervised
-mode the training pairs grow at each refresh by mutual-nearest cross-graph
-proposals.
+graph 1 is recorded as two ``ad.checkpoint`` ops, its body and then its
+neighbor re-aggregation, which the sweep re-runs on tapes of their own
+once the loss and graph 2 are swept. Negatives are refreshed from the
+current embeddings every few epochs; in semi-supervised mode the training
+pairs grow at each refresh by mutual-nearest cross-graph proposals.
 """
 
 import contextlib
@@ -217,57 +215,17 @@ def encode_graph(graph, emb, params, cfg):
 
 
 def forward(task, params, cfg):
-    """Both graphs' outputs, in one pass each."""
-    return (encode_graph(task.g1, params["emb1"], params, cfg),
-            encode_graph(task.g2, params["emb2"], params, cfg))
+    """Both graphs' outputs, in one pass each.
 
-
-def step_pass(task, params, cfg, taped=True):
-    """The pass a training step reads: ``(tape, body1, f1, f2)``.
-
-    Graph 1 runs untaped: ``body1`` is its ``encode_body`` array and ``f1``
-    a leaf holding its output, so the loss's gradient collects on it. Graph
-    2 runs on ``tape`` when ``taped`` (``tape`` is None otherwise), which
-    the loss then extends. ``tape.backward(loss)``, ``head_backward`` and
-    ``body_backward`` then sweep the step.
+    On a tape, graph 1 is two checkpoints, its body then its head, recorded
+    before graph 2, so the sweep re-runs each stage on a tape of its own
+    once the loss and graph 2 are swept. Parameters receive their
+    contributions in a one-tape sweep's order (loss, graph 2, head, body),
+    so gradients are bitwise equal to it.
     """
-    body1 = encode_body(task.g1, params["emb1"], params, cfg)
-    f1 = ad.Tensor(encode_head(task.g1, body1, params).data, requires_grad=True)
-    with ad.Tape() if taped else contextlib.nullcontext() as tape:
-        f2 = encode_graph(task.g2, params["emb2"], params, cfg)
-    return tape, body1.data, f1, f2
-
-
-def head_backward(task, params, body1, seed):
-    """Re-run graph 1's ``encode_head`` on a tape of its own, from a leaf
-    holding ``step_pass``'s ``body1``, and sweep it from ``seed``, the
-    gradient the loss left on ``f1``. Returns the gradient left on that
-    leaf, the seed of ``body_backward``.
-
-    Call it once the loss and graph 2 are swept and the rest of the pass is
-    dropped, so the re-aggregation's logit buffer meets no other tape.
-    """
-    leaf = ad.Tensor(body1, requires_grad=True)
-    with ad.Tape() as tape:
-        out1 = encode_head(task.g1, leaf, params)
-    tape.backward(out1, seed)
-    return leaf.grad
-
-
-def body_backward(task, params, cfg, seed):
-    """Re-run graph 1's ``encode_body`` on a tape of its own and sweep it
-    from ``seed``, the gradient ``head_backward`` returned.
-
-    The forward pass is deterministic and no parameter changes in between,
-    so every gradient is bitwise equal to one sweep of a tape holding both
-    graphs and the loss: each parameter receives its contributions in that
-    sweep's order (the loss's, graph 2's, graph 1's head's, graph 1's
-    body's), and each seed is built by the same additions as the gradient
-    of that tape's node it stands for.
-    """
-    with ad.Tape() as tape:
-        body1 = encode_body(task.g1, params["emb1"], params, cfg)
-    tape.backward(body1, seed)
+    body1 = ad.checkpoint(lambda emb: encode_body(task.g1, emb, params, cfg), params["emb1"])
+    f1 = ad.checkpoint(lambda x: encode_head(task.g1, x, params), body1)
+    return f1, encode_graph(task.g2, params["emb2"], params, cfg)
 
 
 def check_task(task, cfg):
@@ -318,7 +276,8 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     # negatives and seed proposals read the pass run after the previous
     # step, which also feeds that step's evaluation; the pass after the
     # last step is untaped and is the output
-    tape, body1, f1, f2 = step_pass(task, params, cfg, taped=cfg.epochs > 0)
+    with ad.Tape() if cfg.epochs > 0 else contextlib.nullcontext() as tape:
+        f1, f2 = forward(task, params, cfg)
     for epoch in range(cfg.epochs):
         with tape:
             if epoch % cfg.neg_refresh_epochs == 0:
@@ -333,15 +292,8 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
+        del f1, f2  # the sweep reads neither, so graph 1's re-run meets neither
         tape.backward(loss)
-        seed = f1.grad
-        # each stage of graph 1's re-run holds nothing of the step but its
-        # seed gradient, and the pass after the step nothing at all
-        del tape, loss, f1, f2
-        seed = head_backward(task, params, body1, seed)
-        del body1
-        body_backward(task, params, cfg, seed)
-        del seed
         grads = [params[k].grad for k in order]
         _check_finite_params("gradient", epoch, order, grads)
         values = [params[k].data for k in order]
@@ -349,7 +301,8 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         _check_finite_params("value", epoch, order, values)
         ad.zero_grads(params.values())
 
-        tape, body1, f1, f2 = step_pass(task, params, cfg, taped=epoch + 1 < cfg.epochs)
+        with ad.Tape() if epoch + 1 < cfg.epochs else contextlib.nullcontext() as tape:
+            f1, f2 = forward(task, params, cfg)
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
             _check_finite(f"evaluation after epoch {epoch}", f1.data, f2.data)

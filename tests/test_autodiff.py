@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
-from kgalign import kg, training
+from kgalign import kg, selfcheck, training
 from kgalign.kernels import Segments
 from kgalign.training import TrainConfig
 from kgalign import oracles as naive
@@ -334,7 +334,7 @@ def test_backward_matches_keep_all_sweep_on_full_model(small_task, variant, cycl
 
     def record():
         with ad.Tape() as tape:
-            f1, f2 = training.forward(small_task, params, cfg)
+            f1, f2 = selfcheck.one_tape_forward(small_task, params, cfg)
             neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
             loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
         return tape, loss
@@ -418,11 +418,11 @@ def test_taped_forward_retains_at_most_40_percent_of_keeping_copies():
     cfg = TrainConfig(d_r=20, d_t=20)
     params = training.init_params(task, cfg, np.random.default_rng(0))
     pairs = task.seeds_train
-    training.forward(task, params, cfg)  # first-call allocations are not activations
+    selfcheck.one_tape_forward(task, params, cfg)  # first-call allocations are not activations
     tracemalloc.start()
     try:
         with ad.Tape() as tape:
-            f1, f2 = training.forward(task, params, cfg)
+            f1, f2 = selfcheck.one_tape_forward(task, params, cfg)
             neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
             loss = training.alignment_loss(f1, f2, pairs, neg1, neg2, cfg.margin)
         retained = tracemalloc.get_traced_memory()[0]
@@ -451,20 +451,24 @@ def test_fit_peak_is_at_most_85_percent_of_one_tape():
     assert peak <= 0.85 * _FIT_PEAK_ONE_TAPE
 
 
-def test_fit_step_peaks_in_graph_two_pass_not_in_graph_one_rerun(monkeypatch):
-    # graph 1 is re-run once the step's pass is dropped, in two stages on
-    # tapes of their own, so the re-aggregation's logit buffer meets neither
-    # the body's tape nor the pass's leftovers
+def test_fit_step_reruns_graph_one_head_then_body_within_taped_pass_peak(monkeypatch):
+    # graph 1 is two checkpoints recorded before graph 2, so the sweep
+    # re-runs each stage on a nested tape of its own once the loss and
+    # graph 2 are swept: no stage meets graph 2's tape or another stage's
     task = kg.generate_synthetic_pair(300, 20, 9, emb_dim=60, rng_seed=5)
     cfg = TrainConfig(d_r=20, d_t=20, epochs=1)
     training.forward(task, training.init_params(task, cfg, np.random.default_rng(0)), cfg)
-    peaks = []  # since the previous sweep, at the end of each sweep
+    marks = []  # (event, output width, peak since the previous mark)
     real_backward = ad.Tape.backward
 
     def marking(tape, output, grad=None):
+        def mark(event):
+            marks.append((event, output.data.shape[1:], tracemalloc.get_traced_memory()[1]))
+            tracemalloc.reset_peak()
+
+        mark("start")
         real_backward(tape, output, grad)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
+        mark("end")
 
     monkeypatch.setattr(ad.Tape, "backward", marking)
     tracemalloc.start()
@@ -472,9 +476,15 @@ def test_fit_step_peaks_in_graph_two_pass_not_in_graph_one_rerun(monkeypatch):
         training.fit(task, cfg)
     finally:
         tracemalloc.stop()
-    # graph 2's taped pass and the loss sweep, then graph 1's re-run
-    graph2, *graph1 = peaks
-    assert graph1 and max(graph1) <= graph2, (graph2, graph1)
+    head, body = (2 * task.emb_dim,), (task.emb_dim,)
+    assert [mark[:2] for mark in marks] == [
+        ("start", ()), ("start", head), ("end", head), ("start", body), ("end", body), ("end", ())
+    ]
+    # the taped pass with the loss; graph 2's sweep and the head's re-run;
+    # the head's sweep; the body's re-run; the body's sweep; the rest
+    taped_pass, _, head_sweep, body_rerun, body_sweep, _ = (mark[2] for mark in marks)
+    assert max(head_sweep, body_rerun, body_sweep) <= 1.05 * taped_pass, marks
+    assert head_sweep < body_sweep, marks
 
 
 def test_concat_rebuild_holds_one_rebuilt_part_at_a_time(rng):
@@ -506,6 +516,67 @@ def test_no_tape_means_no_recording():
     x = ad.Tensor([1.0], requires_grad=True)
     y = x * 3.0
     assert not y.requires_grad and y.grad is None
+
+
+# ---------------------------------------------------------------- checkpoint
+
+
+def test_checkpoint_gradients_equal_the_plain_call(rng):
+    # chained as graph 1 in a training pass, the first output also read outside
+    x, w, v = (ad.Tensor(rng.normal(size=s), requires_grad=True)
+               for s in ((5, 4), (4, 4), (4, 3)))
+    c = rng.normal(size=(5, 3))
+
+    def grads(call):
+        with ad.Tape() as tape:
+            h = call(lambda a: ad.tanh(a @ w), x)
+            out = call(lambda a: ad.absval(a @ v), h)
+            loss = ad.reduce_sum(out * c) + ad.reduce_sum(h * h)
+        tape.backward(loss)
+        got = [t.grad for t in (x, w, v)]
+        ad.zero_grads((x, w, v))
+        return got
+
+    for got, want in zip(grads(ad.checkpoint), grads(lambda fn, a: fn(a))):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("checkpointed", [True, False])
+def test_checkpoint_frees_what_fn_made(rng, checkpointed):
+    x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    refs = []
+
+    def fn(a):
+        hidden = ad.tanh(a)  # kept by tanh's and mul's backward rules on a tape
+        refs.append(weakref.ref(hidden.data))
+        return hidden * hidden
+
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.checkpoint(fn, x) if checkpointed else fn(x))
+    assert (refs[0]() is None) == checkpointed
+    tape.backward(loss)
+    np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+    assert len(refs) == 1 + checkpointed  # the sweep re-ran fn
+
+
+def test_checkpoint_off_a_tape_is_a_plain_call(rng):
+    x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    calls = []
+
+    def fn(a):
+        calls.append(a)
+        return ad.tanh(a)
+
+    y = ad.checkpoint(fn, x)
+    assert calls == [x] and not y.requires_grad and y.grad is None
+    np.testing.assert_array_equal(y.data, np.tanh(x.data))
+
+
+def test_checkpoint_on_an_input_needing_no_gradient_errors(rng):
+    # no op would be recorded, so w's gradient would be lost silently
+    w = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    with ad.Tape(), pytest.raises(ValueError, match="needs no gradient"):
+        ad.checkpoint(lambda a: a @ w, ad.Tensor(rng.normal(size=(4, 3))))
 
 
 # ----------------------------------------------------------------- fd_check

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgalign import autodiff as ad
-from kgalign import enhancer, kg
+from kgalign import enhancer, kg, training
 from kgalign import oracles as naive
 from kgalign.kernels import Segments
 
@@ -174,15 +174,16 @@ def test_no_neighbor_edges_gives_zero_block_and_identity_gradient(rng):
 
 def test_final_width_doubles(rng):
     x, trips, t_repr, params = make_instance(rng)
-    out = enhancer.enhance_entities(ad.Tensor(x), ad.Tensor(t_repr), structure_of(trips, 10),
-                                    params)
+    graph = structure_of(trips, 10)
+    x = enhancer.cycle_co_enhance(ad.Tensor(x), ad.Tensor(t_repr), graph, params)
+    out = training.encode_head(graph, x, params)
     assert out.data.shape == (10, 8)
 
 
 def test_skip_cycle_variant_well_formed(rng):
-    x, trips, t_repr, params = make_instance(rng)
-    out = enhancer.enhance_entities(ad.Tensor(x), ad.Tensor(t_repr), structure_of(trips, 10),
-                                    params, skip_cycle=True)
+    # wo-C re-aggregates the structure encoding with no cycle before it
+    x, trips, _, params = make_instance(rng)
+    out = training.encode_head(structure_of(trips, 10), ad.Tensor(x), params)
     assert out.data.shape == (10, 8)
     assert np.isfinite(out.data).all()
     # without the cycle, the first half is exactly the input
@@ -210,7 +211,7 @@ def test_full_module_gradient(rng):
     graph = structure_of(trips, 8)
 
     def fn(*_):
-        out = enhancer.enhance_entities(x, t_repr, graph, params, mode=2)
-        return ad.reduce_sum(out)
+        out = enhancer.cycle_co_enhance(x, t_repr, graph, params, mode=2)
+        return ad.reduce_sum(training.encode_head(graph, out, params))
 
     assert ad.fd_check(fn, [x, t_repr]) < 1e-4
