@@ -561,7 +561,7 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_step(params, grads, state, lr=0.001):
+def adam_step(params, grads, state, lr):
     """One adaptive-moment update; mutates `params` arrays in place."""
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]

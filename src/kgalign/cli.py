@@ -16,7 +16,7 @@ from . import __version__
 from . import evaluation, kg, selfcheck, training
 from .autodiff import DimensionError
 from .kg import DataError
-from .training import ConfigError, NumericalError, TrainConfig
+from .training import CONFIG_FIELDS, ConfigError, NumericalError, TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,27 +46,6 @@ def dataset_fingerprint(directory):
     return digest.hexdigest()
 
 
-_CONFIG_FIELDS = {f: t for f, t in TrainConfig.__annotations__.items()}
-
-
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _coerce(field, raw):
-    kind = _CONFIG_FIELDS[field]
-    if kind is bool:
-        try:
-            return _BOOLS[raw.strip().lower()]
-        except KeyError:
-            raise ValueError(f"not a boolean: {raw!r}") from None
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw.strip()
-
-
 def load_config_file(path):
     """Parse flat `key = value` lines into TrainConfig overrides."""
     overrides = {}
@@ -78,10 +57,10 @@ def load_config_file(path):
             raise DataError(f"{path}:{lineno}: expected `key = value`")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_FIELDS:
+        if key not in CONFIG_FIELDS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            value = _coerce(key, raw.strip())
+            value = training.parse_field(key, raw.strip())
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad value for {key}") from None
         try:
@@ -97,7 +76,7 @@ def resolve_config(args):
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_config_file(args.config))
-    for field in _CONFIG_FIELDS:
+    for field in CONFIG_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
             overrides[field] = value
@@ -193,7 +172,7 @@ def _load_run(run_dir):
     config = manifest.get("config") if isinstance(manifest, dict) else None
     if not isinstance(config, dict):
         raise DataError(f"{manifest_path}: no config object")
-    unknown = sorted(set(config) - set(_CONFIG_FIELDS))
+    unknown = sorted(set(config) - set(CONFIG_FIELDS))
     if unknown:
         raise DataError(f"{manifest_path}: unknown config key {unknown[0]!r}")
     try:
@@ -219,7 +198,7 @@ def cmd_eval(args):
     if args.out:
         evaluation.write_report(report, args.out)
     if args.ranks_out:
-        evaluation.write_rank_dump(report, task.seeds_test, args.ranks_out)
+        evaluation.write_rank_dump(report, task.dataset_ids(task.seeds_test), args.ranks_out)
     return EXIT_OK
 
 
@@ -300,7 +279,8 @@ def build_parser():
     p.add_argument("--config", help="flat `key = value` config file")
     # each dest is the TrainConfig field the flag overrides
     p.add_argument("--variant", choices=list(training.VARIANTS))
-    p.add_argument("--cycle-mode", dest="cycle_mode", type=int, choices=(1, 2, 3))
+    p.add_argument("--cycle-mode", dest="cycle_mode", type=int,
+                   choices=list(training.CYCLE_STEPS))
     p.add_argument("--semi", action="store_const", const=True)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", dest="rng_seed", type=int)
@@ -327,14 +307,16 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="train/eval over a variant grid")
     p.add_argument("--data", required=True)
-    p.add_argument("--variants", default="full,wo-E,wo-T,wo-C")
-    p.add_argument("--cycle-modes", dest="cycle_modes", default="2")
-    p.add_argument("--depths", default="2")
+    p.add_argument("--variants", default=",".join(training.VARIANTS))
+    p.add_argument("--cycle-modes", dest="cycle_modes", default=str(TrainConfig.cycle_mode))
+    p.add_argument("--depths", default=str(TrainConfig.gcn_depth))
+    # a smaller model than `train`'s defaults, so a whole grid runs quickly
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
     p.add_argument("--d-r", dest="d_r", type=int, default=16)
     p.add_argument("--d-t", dest="d_t", type=int, default=16)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float, default=0.30)
+    p.add_argument("--train-ratio", dest="train_ratio", type=float,
+                   default=TrainConfig.train_ratio)
     p.add_argument("--out", help="write the table here")
     p.set_defaults(func=cmd_ablate)
 

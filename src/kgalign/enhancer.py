@@ -32,14 +32,12 @@ def attention_enhance(x, triple_repr, seg, proj_w, attn_vec):
     return x + ad.relu(agg)
 
 
-def cycle_co_enhance(x, triple_repr, graph, params, mode=2):
+def cycle_co_enhance(x, triple_repr, graph, params, mode):
     """Alternate head/tail residual updates in the order given by ``mode``.
 
     The triple representation stays fixed for the whole cycle; each step's
     attention reads the embeddings produced by the previous step.
     """
-    if mode not in CYCLE_STEPS:
-        raise ValueError(f"cycle mode must be one of {sorted(CYCLE_STEPS)}, got {mode}")
     roles = {"h": ("head", graph.heads), "t": ("tail", graph.tails)}
     for step in CYCLE_STEPS[mode]:
         role, seg = roles[step]

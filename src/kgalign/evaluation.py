@@ -2,8 +2,9 @@
 
 Queries go from graph 1 into a candidate pool on graph 2 (by default the
 test pairs' target entities). Ties are broken pessimistically: candidates
-at the same distance as the true target count as closer, so reported
-metrics are deterministic lower bounds.
+at the same distance as the true target count as closer, as do candidates
+at a NaN distance, and a NaN true distance ranks last, so reported metrics
+are deterministic lower bounds.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ def rank_pairs(query_embs, target_embs, pairs, pool):
     ranks = np.empty(len(pairs), dtype=np.int64)
     for rows, dist in kernels.distance_blocks(query_embs[pairs[:, 0]], target_embs[pool]):
         true_dist = dist[np.arange(len(dist)), pos_in_pool[rows]]
-        ranks[rows] = (dist <= true_dist[:, None]).sum(axis=1)
+        ranks[rows] = len(pool) - (dist > true_dist[:, None]).sum(axis=1)
     return ranks
 
 

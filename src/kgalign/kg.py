@@ -8,8 +8,8 @@ Directory layout (UTF-8, tab-separated):
     ent_emb_1 / ent_emb_2   <int id>\t<v1> <v2> ... (space-separated floats)
 
 File ids are remapped to dense 0..n-1 indices per graph (sorted file-id
-order), so the two graphs keep independent id spaces joined only by the
-reference pairs.
+order, kept as ``KnowledgeGraph.entity_ids``), so the two graphs keep
+independent id spaces joined only by the reference pairs.
 """
 
 import os
@@ -31,6 +31,7 @@ class KnowledgeGraph:
     num_relations: int
     triples: np.ndarray  # (m, 3) int64 rows of (head, relation, tail)
     entity_names: list = None
+    entity_ids: np.ndarray = None  # the dataset's id of each entity; None: its index
 
     def __post_init__(self):
         self.triples = np.ascontiguousarray(self.triples, dtype=np.int64).reshape(-1, 3)
@@ -144,6 +145,11 @@ class AlignmentTask:
     @property
     def emb_dim(self):
         return self.init_emb1.shape[1]
+
+    def dataset_ids(self, pairs):
+        """(graph 1, graph 2) entity ``pairs`` in the dataset's entity ids."""
+        sides = zip(pairs.T, (self.g1.base.entity_ids, self.g2.base.entity_ids))
+        return np.stack([col if ids is None else ids[col] for col, ids in sides], axis=1)
 
 
 def split_seed_pairs(pairs, train_ratio, seed):
@@ -284,7 +290,8 @@ def _read_graph(paths, side):
     path = paths[f"triples_{side}"]
     triples, n_rel = _read_triples(path, id_map)
     try:
-        graph = KnowledgeGraph(len(id_map), n_rel, triples, entity_names=names)
+        graph = KnowledgeGraph(len(id_map), n_rel, triples, entity_names=names,
+                               entity_ids=np.fromiter(id_map, dtype=np.int64))
     except DataError as exc:
         raise _located(exc, path, 3, triples) from None
     return id_map, GraphStructure(graph)

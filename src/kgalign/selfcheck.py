@@ -158,7 +158,7 @@ def _fd_case_triple_encoder(rng):
     params = triples.init_triple_params(rng, 4, 3, 2)
 
     def fn(*_):
-        return ad.reduce_sum(triples.encode_triples(x, graph, params))
+        return ad.reduce_sum(triples.encode_triples(x, graph, params, "full"))
 
     perturbed = [x, params["triple.head_a"], params["triple.mutual_fwd_a"],
                  params["triple.key_w"], params["triple.type_w"]]
@@ -369,7 +369,9 @@ def one_tape_forward(task, params, cfg):
             training.encode_graph(task.g2, params["emb2"], params, cfg))
 
 
-def _step_grads(forward, task, params, cfg, pairs):
+def step_grads(forward, task, params, cfg, pairs):
+    """Parameter gradients (None where none flows) of one sweep of a training
+    step's tape, with both graphs' outputs from ``forward``."""
     with ad.Tape() as tape:
         f1, f2 = forward(task, params, cfg)
         neg1, neg2 = training.refresh_negatives(f1.data, f2.data, pairs, cfg.neg_k)
@@ -378,17 +380,6 @@ def _step_grads(forward, task, params, cfg, pairs):
     grads = {key: params[key].grad for key in sorted(params)}
     ad.zero_grads(params.values())
     return grads
-
-
-def single_tape_grads(task, params, cfg, pairs):
-    """Parameter gradients (None where none flows) of one sweep of a tape
-    holding both graphs' passes and the loss."""
-    return _step_grads(one_tape_forward, task, params, cfg, pairs)
-
-
-def per_graph_grads(task, params, cfg, pairs):
-    """The same gradients from the training pass, graph 1 checkpointed."""
-    return _step_grads(training.forward, task, params, cfg, pairs)
 
 
 def run_step_check():
@@ -405,8 +396,8 @@ def run_step_check():
     for variant, mode in itertools.product(triples.VARIANTS, enhancer.CYCLE_STEPS):
         cfg = training.TrainConfig(d_r=6, d_t=6, variant=variant, cycle_mode=mode)
         params = training.init_params(task, cfg, np.random.default_rng(STEP_SEED))
-        want = single_tape_grads(task, params, cfg, task.seeds_train)
-        got = per_graph_grads(task, params, cfg, task.seeds_train)
+        want = step_grads(one_tape_forward, task, params, cfg, task.seeds_train)
+        got = step_grads(training.forward, task, params, cfg, task.seeds_train)
         for key in want:
             if want[key] is None or got[key] is None:
                 diff = 0.0 if want[key] is got[key] else math.inf

@@ -10,8 +10,6 @@ from . import autodiff as ad
 
 
 def init_structure_params(rng, d_e, depth):
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     params = {}
     for layer in range(depth):
         params[f"gcn.gate_w{layer}"] = ad.glorot(rng, d_e, d_e)

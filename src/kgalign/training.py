@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import enhancer, kernels, structure, triples
+from .enhancer import CYCLE_STEPS
 from .kg import AlignmentTask, DataError
 from .triples import VARIANTS
 
@@ -64,8 +65,9 @@ class TrainConfig:
             raise ConfigError("train_ratio must be in (0, 1)")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
-        if self.cycle_mode not in (1, 2, 3):
-            raise ConfigError("cycle_mode must be 1, 2, or 3")
+        if self.cycle_mode not in CYCLE_STEPS:
+            *others, last = CYCLE_STEPS
+            raise ConfigError(f"cycle_mode must be {', '.join(map(str, others))}, or {last}")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.eval_every < 0:
@@ -78,19 +80,39 @@ class TrainConfig:
             raise ConfigError("rng_seed must be non-negative")
 
 
-# what a TrainConfig field of each annotated type accepts; bool is never a number
+CONFIG_FIELDS = tuple(f.name for f in fields(TrainConfig))
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(text):
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# what a TrainConfig field of each annotated type accepts, and the parser of
+# its stripped text form; bool is never a number
 _FIELD_TYPES = {
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a real number"),
-    bool: (bool, "true or false"),
-    str: (str, "a string"),
+    int: (numbers.Integral, "an integer", int),
+    float: (numbers.Real, "a real number", float),
+    bool: (bool, "true or false", _parse_bool),
+    str: (str, "a string", str),
 }
 
 
 def _check_type(name, kind, value):
-    accepted, noun = _FIELD_TYPES[kind]
+    accepted, noun, _ = _FIELD_TYPES[kind]
     if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
+def parse_field(name, text):
+    """The value of TrainConfig field ``name`` written as stripped ``text``;
+    raises ``ValueError`` for text that is not of the field's type."""
+    return _FIELD_TYPES[TrainConfig.__annotations__[name]][2](text)
 
 
 def margin_loss(pos_dist, neg_dist, margin):

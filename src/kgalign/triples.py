@@ -123,20 +123,15 @@ def fuse_type_enhanced(sem, sem_agg, type_proj, type_agg, rel_type_global, rels)
 
 
 def triple_width(variant, d_r, d_t):
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     return d_r if variant == "wo-T" else d_r + 2 * d_t
 
 
-def encode_triples(x, graph, params, variant="full"):
+def encode_triples(x, graph, params, variant):
     """Full triple-encoding pass for one graph; variant selects ablations.
 
     Returns the per-triple representations, ``triple_width(variant, d_r,
     d_t)`` columns wide.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-
     sem = semantic_triple(x, graph, params, with_attention=(variant != "wo-E"))
     if variant == "wo-T":
         return sem

@@ -203,6 +203,27 @@ def test_eval_rank_dump_row_count(run_dir, dataset, tmp_path):
     assert len(ranks.read_text().splitlines()) == len(task.seeds_test)
 
 
+def test_eval_rank_dump_writes_dataset_entity_ids(run_dir, dataset, tmp_path):
+    # graph 2's file ids start at 1000, so its dense indices are not its ids
+    shifted = tmp_path / "shifted"
+    shutil.copytree(dataset, shifted)
+    for name, columns in (("ent_ids_2", [0]), ("ent_emb_2", [0]),
+                          ("triples_2", [0, 2]), ("ref_ent_ids", [1])):
+        rows = [line.split("\t") for line in (shifted / name).read_text().splitlines()]
+        for row in rows:
+            for col in columns:
+                row[col] = str(int(row[col]) + 1000)
+        (shifted / name).write_text("".join("\t".join(row) + "\n" for row in rows))
+    ranks = tmp_path / "ranks.tsv"
+    assert run_cli("eval", "--model", str(run_dir), "--data", str(shifted),
+                   "--ranks-out", str(ranks)) == EXIT_OK
+    refs = {tuple(line.split("\t"))
+            for line in (shifted / "ref_ent_ids").read_text().splitlines()}
+    dumped = [tuple(line.split("\t")[:2]) for line in ranks.read_text().splitlines()]
+    assert len(dumped) == len(kg.load_dbp15k(shifted).seeds_test)
+    assert set(dumped) <= refs
+
+
 def test_eval_missing_checkpoint(dataset, tmp_path, capsys):
     code = run_cli("eval", "--model", str(tmp_path), "--data", str(dataset))
     assert code == EXIT_DATA

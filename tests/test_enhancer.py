@@ -99,13 +99,6 @@ def test_cycle_modes_differ_on_nondegenerate_chain(rng):
     assert not np.allclose(m1, m2)
 
 
-def test_cycle_invalid_mode(rng):
-    x, trips, t_repr, params = make_instance(rng)
-    with pytest.raises(ValueError):
-        enhancer.cycle_co_enhance(ad.Tensor(x), ad.Tensor(t_repr),
-                                  structure_of(trips, 10), params, mode=4)
-
-
 # ----------------------------------------------------------- neighbor layer
 
 
@@ -175,7 +168,7 @@ def test_no_neighbor_edges_gives_zero_block_and_identity_gradient(rng):
 def test_final_width_doubles(rng):
     x, trips, t_repr, params = make_instance(rng)
     graph = structure_of(trips, 10)
-    x = enhancer.cycle_co_enhance(ad.Tensor(x), ad.Tensor(t_repr), graph, params)
+    x = enhancer.cycle_co_enhance(ad.Tensor(x), ad.Tensor(t_repr), graph, params, 2)
     out = training.encode_head(graph, x, params)
     assert out.data.shape == (10, 8)
 

@@ -38,6 +38,26 @@ def test_rank_all_tied_is_pool_size(rng):
     assert (report.per_query_ranks == len(np.unique(task.seeds_test[:, 1]))).all()
 
 
+def test_all_nan_embeddings_rank_last(rng):
+    task = make_eval_task(rng)
+    nan = np.full((task.g1.num_entities, 4), np.nan)
+    pool = len(np.unique(task.seeds_test[:, 1]))
+    with np.errstate(all="raise"):
+        report = evaluate(task, nan, nan)
+    assert (report.per_query_ranks == pool).all()
+    assert report.hits_at == {1: 0.0, 10: 0.0}
+    assert report.mrr == pytest.approx(1.0 / pool)
+
+
+def test_nan_candidate_counts_as_closer_for_every_query(rng):
+    cands = rng.normal(size=(10, 4))
+    cands[7] = np.nan
+    queries = cands + 1e-6
+    pairs = np.array([[i, i] for i in range(10) if i != 7])
+    ranks = rank_pairs(queries, cands, pairs, np.arange(10))
+    assert (ranks == 2).all()
+
+
 def test_rank_matches_full_sort_oracle(rng):
     for _ in range(20):
         cands = rng.normal(size=(20, 5))

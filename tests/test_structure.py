@@ -113,8 +113,3 @@ def test_encoder_gradients_match_fd(rng):
 
     err = ad.fd_check(fn, [x] + list(params.values()))
     assert err < 1e-4
-
-
-def test_init_rejects_bad_depth(rng):
-    with pytest.raises(ValueError):
-        structure.init_structure_params(np.random.default_rng(0), 4, 0)

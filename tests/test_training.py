@@ -241,7 +241,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(train_ratio=1.5)
     for bad in ({"gcn_depth": 0}, {"lr": -1.0}, {"lr": float("nan")}, {"eval_every": -1},
-                {"margin": float("inf")}, {"d_r": -1}, {"rng_seed": -1}):
+                {"margin": float("inf")}, {"d_r": -1}, {"rng_seed": -1}, {"cycle_mode": 4}):
         with pytest.raises(training.ConfigError, match=f"^{next(iter(bad))}"):
             TrainConfig(**bad)
 
@@ -461,12 +461,12 @@ def test_semi_fit_reuses_last_evaluation_pass_as_output(monkeypatch, small_task)
     "variant, cycle_mode",
     [("full", 1), ("full", 2), ("wo-E", 2), ("wo-T", 2), ("wo-C", 2), ("full", 3)],
 )
-def test_per_graph_step_gradients_equal_single_tape_sweep(small_task, variant, cycle_mode):
+def test_checkpointed_step_gradients_equal_single_tape_sweep(small_task, variant, cycle_mode):
     cfg = TrainConfig(d_r=6, d_t=6, variant=variant, cycle_mode=cycle_mode)
     params = training.init_params(small_task, cfg, np.random.default_rng(3))
     pairs = small_task.seeds_train
-    want = selfcheck.single_tape_grads(small_task, params, cfg, pairs)
-    got = selfcheck.per_graph_grads(small_task, params, cfg, pairs)
+    want = selfcheck.step_grads(selfcheck.one_tape_forward, small_task, params, cfg, pairs)
+    got = selfcheck.step_grads(training.forward, small_task, params, cfg, pairs)
     assert np.any(want["emb1"]) and np.any(want["emb2"]) and np.any(want["gcn.gate_w0"])
     for key in sorted(params):
         if want[key] is None:

@@ -276,13 +276,6 @@ def test_encode_widths(rng):
         assert np.isfinite(enc.data).all()
 
 
-def test_encode_rejects_unknown_variant(rng):
-    x, trips = make_instance(rng)
-    params = triples.init_triple_params(np.random.default_rng(0), 5, 3, 2)
-    with pytest.raises(ValueError):
-        triples.encode_triples(ad.Tensor(x), graph_of(trips, len(x)), params, variant="nope")
-
-
 def test_duplicating_uniform_relation_triples_changes_nothing(rng):
     # relation 0's triples read identical rows (entities 0, 6 and 8 share
     # one, as do 1, 7 and 9); adding one more such triple must leave every
@@ -294,8 +287,8 @@ def test_duplicating_uniform_relation_triples_changes_nothing(rng):
     dup = np.concatenate([base, [[8, 0, 9]]], axis=0)
     params = triples.init_triple_params(np.random.default_rng(2), 4, 3, 2)
 
-    enc_base = triples.encode_triples(ad.Tensor(x[:8]), graph_of(base, 8), params)
-    enc_dup = triples.encode_triples(ad.Tensor(x), graph_of(dup, 10), params)
+    enc_base = triples.encode_triples(ad.Tensor(x[:8]), graph_of(base, 8), params, "full")
+    enc_dup = triples.encode_triples(ad.Tensor(x), graph_of(dup, 10), params, "full")
     # compare the representation of one relation-0 triple and one relation-1 triple
     np.testing.assert_allclose(enc_base.data[0], enc_dup.data[0], atol=1e-10)
     np.testing.assert_allclose(enc_base.data[2], enc_dup.data[2], atol=1e-10)
@@ -308,6 +301,6 @@ def test_end_to_end_gradient_wrt_embeddings(rng):
     x = ad.Tensor(x_data, requires_grad=True)
 
     def fn(*_):
-        return ad.reduce_sum(triples.encode_triples(x, graph, params))
+        return ad.reduce_sum(triples.encode_triples(x, graph, params, "full"))
 
     assert ad.fd_check(fn, [x]) < 1e-4
