@@ -308,29 +308,26 @@ def absval(a):
     return _record(np.abs(a.data), (a,), lambda g: (g * np.sign(xs()),))
 
 
-def concat(*parts, axis=-1):
-    """Join tensors along ``axis``; each part's gradient is a view of ``g``."""
+def concat(*parts):
+    """Join tensors along the last axis; each part's gradient is a view of ``g``."""
     parts = [as_tensor(p) for p in parts]
     shapes = [p.data.shape for p in parts]
-    ndim = len(shapes[0])
-    if any(len(s) != ndim for s in shapes):
-        raise DimensionError(f"concat: ranks differ, {' vs '.join(map(str, shapes))}")
-    ax = axis if axis >= 0 else ndim + axis
-    if len({s[:ax] + s[ax + 1:] for s in shapes}) > 1:
-        raise DimensionError(f"concat: shapes {', '.join(map(str, shapes))} on axis {axis}")
-    splits = np.cumsum([s[ax] for s in shapes])[:-1]
+    if len({s[:-1] for s in shapes}) > 1:
+        raise DimensionError(f"concat: shapes {', '.join(map(str, shapes))} differ "
+                             "before the last axis")
+    splits = np.cumsum([s[-1] for s in shapes])[:-1]
     sources = [_saved(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=ax)
+    data = np.concatenate([p.data for p in parts], axis=-1)
     shape = data.shape
 
     def rebuild():
         # one rebuilt part alive at a time, copied into its slice
         out = np.empty(shape)
-        for view, source in zip(np.split(out, splits, axis=ax), sources):
+        for view, source in zip(np.split(out, splits, axis=-1), sources):
             view[...] = source()
         return out
 
-    return _record(data, parts, lambda g: np.split(g, splits, axis=ax), rebuild)
+    return _record(data, parts, lambda g: np.split(g, splits, axis=-1), rebuild)
 
 
 def reshape(a, shape):

@@ -59,6 +59,8 @@ def load_config_file(path):
         key = key.strip()
         if key not in CONFIG_FIELDS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise DataError(f"{path}:{lineno}: repeated config key {key!r}")
         try:
             value = training.parse_field(key, raw.strip())
         except ValueError:
@@ -109,7 +111,6 @@ def cmd_gen_synth(args):
         drop_triple_prob=args.drop_prob,
         emb_noise_sigma=args.emb_noise,
         emb_dim=args.emb_dim,
-        train_ratio=args.train_ratio,
         rng_seed=args.seed,
     )
     kg.save_dbp15k(task, args.out)
@@ -117,7 +118,7 @@ def cmd_gen_synth(args):
           f"{task.g1.base.num_relations} relations, {len(task.g1.base.triples)} triples")
     print(f"graph2: {task.g2.num_entities} entities, "
           f"{task.g2.base.num_relations} relations, {len(task.g2.base.triples)} triples")
-    print(f"seeds: {len(task.seeds_train)} train / {len(task.seeds_test)} test")
+    print(f"seed pairs: {len(task.seeds_train) + len(task.seeds_test)}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -269,7 +270,6 @@ def build_parser():
     p.add_argument("--drop-prob", dest="drop_prob", type=float, default=0.15)
     p.add_argument("--emb-noise", dest="emb_noise", type=float, default=0.3)
     p.add_argument("--emb-dim", dest="emb_dim", type=int, default=32)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float, default=0.30)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synth)
@@ -299,7 +299,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a trained run on a dataset")
     p.add_argument("--model", required=True, help="run directory from `train`")
     p.add_argument("--data", required=True)
-    p.add_argument("--pool", choices=("test", "all"), default="test")
+    p.add_argument("--pool", choices=list(evaluation.CANDIDATE_POOLS), default="test")
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--out", help="write metrics TSV here")
     p.add_argument("--ranks-out", dest="ranks_out", help="write per-query rank dump here")

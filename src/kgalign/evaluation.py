@@ -14,6 +14,7 @@ import numpy as np
 from . import kernels
 
 HITS_KS = (1, 10)  # the k of every reported hits@k
+CANDIDATE_POOLS = ("test", "all")  # the target side's test entities, or all of them
 
 
 @dataclass
@@ -57,8 +58,9 @@ def evaluate(task, final_emb1, final_emb2, candidate_pool="test",
     test = task.seeds_test
     if len(test) == 0:
         raise ValueError("test seed set is empty")
-    if candidate_pool not in ("test", "all"):
-        raise ValueError(f"candidate_pool must be 'test' or 'all', got {candidate_pool!r}")
+    if candidate_pool not in CANDIDATE_POOLS:
+        raise ValueError(f"candidate_pool must be {' or '.join(map(repr, CANDIDATE_POOLS))}, "
+                         f"got {candidate_pool!r}")
 
     if candidate_pool == "test":
         pool2 = np.unique(test[:, 1])

@@ -7,9 +7,10 @@ Directory layout (UTF-8, tab-separated):
     ref_ent_ids             <id in KG1>\t<id in KG2>
     ent_emb_1 / ent_emb_2   <int id>\t<v1> <v2> ... (space-separated floats)
 
-File ids are remapped to dense 0..n-1 indices per graph (sorted file-id
-order, kept as ``KnowledgeGraph.entity_ids``), so the two graphs keep
-independent id spaces joined only by the reference pairs.
+Entity file ids are remapped to dense 0..n-1 indices per graph in sorted
+order and kept as ``KnowledgeGraph.entity_ids``, which ``save_dbp15k``
+writes back; the two graphs keep independent id spaces joined only by the
+reference pairs. Relation ids become 0..r-1 in sorted file-id order.
 """
 
 import os
@@ -31,7 +32,7 @@ class KnowledgeGraph:
     num_relations: int
     triples: np.ndarray  # (m, 3) int64 rows of (head, relation, tail)
     entity_names: list = None
-    entity_ids: np.ndarray = None  # the dataset's id of each entity; None: its index
+    entity_ids: np.ndarray = None  # the dataset's id of each entity, increasing; default: its index
 
     def __post_init__(self):
         self.triples = np.ascontiguousarray(self.triples, dtype=np.int64).reshape(-1, 3)
@@ -55,6 +56,11 @@ class KnowledgeGraph:
             )
         if self.entity_names is not None and len(self.entity_names) != self.num_entities:
             raise DataError("entity_names length does not match num_entities")
+        ids = self.entity_ids
+        ids = np.arange(self.num_entities) if ids is None else np.asarray(ids)
+        if ids.dtype.kind != "i" or ids.shape != (self.num_entities,) or (np.diff(ids) <= 0).any():
+            raise DataError(f"entity_ids must be {self.num_entities} strictly increasing integers")
+        self.entity_ids = ids.astype(np.int64)
 
 
 def build_normalized_adjacency(g: KnowledgeGraph) -> sp.csr_matrix:
@@ -148,8 +154,8 @@ class AlignmentTask:
 
     def dataset_ids(self, pairs):
         """(graph 1, graph 2) entity ``pairs`` in the dataset's entity ids."""
-        sides = zip(pairs.T, (self.g1.base.entity_ids, self.g2.base.entity_ids))
-        return np.stack([col if ids is None else ids[col] for col, ids in sides], axis=1)
+        return np.stack([self.g1.base.entity_ids[pairs[:, 0]],
+                         self.g2.base.entity_ids[pairs[:, 1]]], axis=1)
 
 
 def split_seed_pairs(pairs, train_ratio, seed):
@@ -213,8 +219,8 @@ def _read_entities(path):
     ids, names = [], {}
     for lineno, (raw_id, name) in _read_tsv(path, 2, "entity"):
         try:
-            eid = int(raw_id)
-        except ValueError:
+            eid = int(np.int64(raw_id))  # a dataset id must fit entity_ids
+        except (ValueError, OverflowError):
             raise DataError(f"{path}:{lineno}: bad entity id {raw_id!r}") from None
         if eid in names:
             raise DataError(f"{path}:{lineno}: duplicate entity id {eid}")
@@ -225,43 +231,48 @@ def _read_entities(path):
     return id_map, [names[eid] for eid in ids]
 
 
+def _index(path, lineno, id_map, text):
+    """Dense index of the entity whose dataset id is ``text``."""
+    try:
+        return id_map[int(text)]
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: bad entity id {text!r}") from None
+    except KeyError:
+        raise DataError(f"{path}:{lineno}: unknown entity id {text}") from None
+
+
 def _read_triples(path, id_map):
-    triples, raw_rels = [], []
-    for lineno, parts in _read_tsv(path, 3, "triple"):
+    """Triples with dense entity and relation indices, the relation count and
+    each triple's line number."""
+    triples, linenos = [], []
+    for lineno, (h, r, t) in _read_tsv(path, 3, "triple"):
         try:
-            h, r, t = (int(p) for p in parts)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer triple {parts}") from None
-        for e in (h, t):
-            if e not in id_map:
-                raise DataError(f"{path}:{lineno}: unknown entity id {e}")
-        triples.append((id_map[h], r, id_map[t]))
-        raw_rels.append(r)
-    rel_ids = sorted(set(raw_rels))
-    rel_map = {r: i for i, r in enumerate(rel_ids)}
-    arr = np.array([(h, rel_map[r], t) for h, r, t in triples], dtype=np.int64)
-    return arr, len(rel_ids)
+            rel = np.int64(r)
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}:{lineno}: bad relation id {r!r}") from None
+        triples.append((_index(path, lineno, id_map, h), rel, _index(path, lineno, id_map, t)))
+        linenos.append(lineno)
+    triples = np.array(triples, dtype=np.int64)
+    rel_ids, triples[:, 1] = np.unique(triples[:, 1], return_inverse=True)
+    return triples, len(rel_ids), linenos
 
 
 def _read_embeddings(path, id_map, dim=None):
     out = None
     line_of = np.zeros(len(id_map), dtype=np.int64)  # 0 until the row is read
     for lineno, (raw_id, values) in _read_tsv(path, 2, "embedding"):
+        idx = _index(path, lineno, id_map, raw_id)
         try:
-            eid = int(raw_id)
             vec = np.array([float(v) for v in values.split()], dtype=np.float64)
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed embedding row") from None
-        if eid not in id_map:
-            raise DataError(f"{path}:{lineno}: unknown entity id {eid}")
         if out is None:
             dim = vec.size if dim is None else dim
             out = np.empty((len(id_map), dim))
         if vec.size != dim:
             raise DataError(f"{path}:{lineno}: embedding width {vec.size} != {dim}")
-        idx = id_map[eid]
         if line_of[idx]:
-            raise DataError(f"{path}:{lineno}: duplicate embedding for entity id {eid}")
+            raise DataError(f"{path}:{lineno}: duplicate embedding for entity id {int(raw_id)}")
         out[idx] = vec
         line_of[idx] = lineno
     if not line_of.all():
@@ -273,27 +284,27 @@ def _read_embeddings(path, id_map, dim=None):
     return out
 
 
-def _located(exc, path, n_fields, *keys):
+def _located(exc, path, linenos, *keys):
     """``exc`` prefixed with ``path`` and, if a record's entry in any of ``keys``
-    repeats an earlier record's, the line of the first such record."""
+    repeats an earlier record's, the line (from ``linenos``) of the first such record."""
     repeats = [np.setdiff1d(np.arange(len(k)), np.unique(k, axis=0, return_index=True)[1])
                for k in keys]
     row = min((int(r[0]) for r in repeats if r.size), default=None)
     if row is None:
         return DataError(f"{path}: {exc}")
-    return DataError(f"{path}:{_read_tsv(path, n_fields, 'data')[row][0]}: {exc}")
+    return DataError(f"{path}:{linenos[row]}: {exc}")
 
 
 def _read_graph(paths, side):
     """One side's entity id map and validated graph."""
     id_map, names = _read_entities(paths[f"ent_ids_{side}"])
     path = paths[f"triples_{side}"]
-    triples, n_rel = _read_triples(path, id_map)
+    triples, n_rel, linenos = _read_triples(path, id_map)
     try:
         graph = KnowledgeGraph(len(id_map), n_rel, triples, entity_names=names,
                                entity_ids=np.fromiter(id_map, dtype=np.int64))
     except DataError as exc:
-        raise _located(exc, path, 3, triples) from None
+        raise _located(exc, path, linenos, triples) from None
     return id_map, GraphStructure(graph)
 
 
@@ -303,17 +314,10 @@ def load_dbp15k(directory, train_ratio=0.30, seed=0) -> AlignmentTask:
     map1, g1 = _read_graph(paths, 1)
     map2, g2 = _read_graph(paths, 2)
 
-    refs = []
     ref_path = paths["ref_ent_ids"]
-    for lineno, (raw1, raw2) in _read_tsv(ref_path, 2, "reference"):
-        try:
-            e1, e2 = int(raw1), int(raw2)
-        except ValueError:
-            raise DataError(f"{ref_path}:{lineno}: non-integer pair") from None
-        if e1 not in map1 or e2 not in map2:
-            raise DataError(f"{ref_path}:{lineno}: unknown entity in pair ({e1}, {e2})")
-        refs.append((map1[e1], map2[e2]))
-    refs = np.array(refs, dtype=np.int64)
+    rows = _read_tsv(ref_path, 2, "reference")
+    refs = np.array([(_index(ref_path, lineno, map1, e1), _index(ref_path, lineno, map2, e2))
+                     for lineno, (e1, e2) in rows], dtype=np.int64)
     train, test = split_seed_pairs(refs, train_ratio, seed)
 
     emb1 = _read_embeddings(paths["ent_emb_1"], map1)
@@ -322,7 +326,7 @@ def load_dbp15k(directory, train_ratio=0.30, seed=0) -> AlignmentTask:
         return AlignmentTask(g1, g2, train, test, emb1, emb2)
     except DataError as exc:
         # the readers checked all else, so an entity is in two seed pairs
-        raise _located(exc, ref_path, 2, refs[:, 0], refs[:, 1]) from None
+        raise _located(exc, ref_path, [n for n, _ in rows], refs[:, 0], refs[:, 1]) from None
 
 
 def read_graph_stats(directory):
@@ -335,35 +339,30 @@ def read_graph_stats(directory):
     stats = {}
     for side in (1, 2):
         id_map, _ = _read_entities(paths[f"ent_ids_{side}"])
-        triples, nrel = _read_triples(paths[f"triples_{side}"], id_map)
+        triples, nrel, _ = _read_triples(paths[f"triples_{side}"], id_map)
         stats[side] = (len(id_map), nrel, len(triples))
     links = len(_read_tsv(paths["ref_ent_ids"], 2, "reference"))
     return stats[1], stats[2], links
 
 
 def save_dbp15k(task: AlignmentTask, directory):
-    """Write a task back out in the DBP15K layout (lossless round-trip)."""
+    """Write a task back out in the DBP15K layout, in its dataset entity ids
+    (lossless round-trip)."""
     os.makedirs(directory, exist_ok=True)
 
-    def names_for(graph):
-        if graph.base.entity_names is not None:
-            return graph.base.entity_names
-        return [f"entity_{i}" for i in range(graph.num_entities)]
+    def write(name, rows):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
-    for side, graph, emb in ((1, task.g1, task.init_emb1), (2, task.g2, task.init_emb2)):
-        with open(os.path.join(directory, f"ent_ids_{side}"), "w", encoding="utf-8") as fh:
-            for i, name in enumerate(names_for(graph)):
-                fh.write(f"{i}\t{name}\n")
-        with open(os.path.join(directory, f"triples_{side}"), "w", encoding="utf-8") as fh:
-            for h, r, t in graph.base.triples.tolist():
-                fh.write(f"{h}\t{r}\t{t}\n")
-        with open(os.path.join(directory, f"ent_emb_{side}"), "w", encoding="utf-8") as fh:
-            for i in range(emb.shape[0]):
-                row = " ".join(f"{v:.17g}" for v in emb[i])
-                fh.write(f"{i}\t{row}\n")
-    with open(os.path.join(directory, "ref_ent_ids"), "w", encoding="utf-8") as fh:
-        for e1, e2 in np.concatenate([task.seeds_train, task.seeds_test]).tolist():
-            fh.write(f"{e1}\t{e2}\n")
+    for side, graph, emb in ((1, task.g1.base, task.init_emb1), (2, task.g2.base, task.init_emb2)):
+        ids = graph.entity_ids.tolist()
+        names = graph.entity_names or [f"entity_{i}" for i in range(graph.num_entities)]
+        write(f"ent_ids_{side}", zip(ids, names))
+        write(f"triples_{side}", ((ids[h], r, ids[t]) for h, r, t in graph.triples.tolist()))
+        write(f"ent_emb_{side}", ((i, " ".join(f"{v:.17g}" for v in row))
+                                  for i, row in zip(ids, emb.tolist())))
+    pairs = np.concatenate([task.seeds_train, task.seeds_test])
+    write("ref_ent_ids", task.dataset_ids(pairs).tolist())
 
 
 # ------------------------------------------------------------ synthetic data

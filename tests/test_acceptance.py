@@ -198,6 +198,10 @@ def test_criterion_8_round_trip_lossless(tmp_path):
     np.testing.assert_array_equal(loaded.seeds_test, reloaded.seeds_test)
     np.testing.assert_array_equal(loaded.init_emb1, reloaded.init_emb1)
     assert loaded.g1.base.entity_names == reloaded.g1.base.entity_names
+    for side in ("g1", "g2"):
+        ids = getattr(task, side).base.entity_ids
+        np.testing.assert_array_equal(getattr(loaded, side).base.entity_ids, ids)
+        np.testing.assert_array_equal(getattr(reloaded, side).base.entity_ids, ids)
     announce(8, "data layer round-trip lossless")
 
 

@@ -89,19 +89,17 @@ def test_concat_of_three_matches_nested_concat(rng):
     assert ad.fd_check(lambda *_: ad.reduce_sum(ad.concat(*parts) * mask), parts) < 1e-6
 
 
-@pytest.mark.parametrize("axis", [0, -1])
-def test_concat_backward_returns_views_of_the_gradient(rng, axis):
+def test_concat_backward_returns_views_of_the_gradient(rng):
     widths = (2, 1, 3)
-    shapes = [(w, 4) if axis == 0 else (4, w) for w in widths]
-    parts = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    parts = [ad.Tensor(rng.normal(size=(4, w)), requires_grad=True) for w in widths]
     with ad.Tape() as tape:
-        out = ad.concat(*parts, axis=axis)
+        out = ad.concat(*parts)
     ((_, _, backward),) = tape.ops
     g = rng.normal(size=out.shape)
     bounds = np.cumsum((0,) + widths)
     for grad, lo, hi in zip(backward(g), bounds[:-1], bounds[1:]):
         assert np.shares_memory(grad, g)
-        assert np.array_equal(grad, np.take(g, np.arange(lo, hi), axis=axis))
+        assert np.array_equal(grad, g[:, lo:hi])
 
 
 def test_concat_leading_shape_mismatch():

@@ -155,6 +155,16 @@ def test_config_file_bad_boolean_is_data_error(tmp_path, line):
         cli.load_config_file(config)
 
 
+def test_config_file_repeated_key_is_data_error(dataset, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("epochs = 5\nmargin = 2.0\nepochs = 7\n")
+    out = tmp_path / "r"
+    code = run_cli("train", "--data", str(dataset), "--config", str(config), "--out", str(out))
+    assert code == EXIT_DATA
+    assert f"data error: {config}:3: repeated config key 'epochs'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_boolean_spellings(tmp_path):
     config = tmp_path / "ok.cfg"
     for spelling, value in (("YES", True), ("On", True), ("0", False), ("Off", False)):

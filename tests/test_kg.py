@@ -41,6 +41,19 @@ def test_rejects_out_of_range_ids():
         kg.KnowledgeGraph(2, 1, np.array([[0, 3, 1]]))
 
 
+def test_entity_ids_default_to_indices():
+    np.testing.assert_array_equal(tiny_graph().entity_ids, [0, 1])
+    g = kg.KnowledgeGraph(2, 1, np.array([[0, 0, 1]]), entity_ids=[4, 1000])
+    np.testing.assert_array_equal(g.entity_ids, [4, 1000])
+
+
+@pytest.mark.parametrize("ids", [[5], [5, 6, 7], [5, 5], [6, 5], [0.5, 1.5]],
+                         ids=["short", "long", "repeated", "decreasing", "float"])
+def test_rejects_entity_ids_that_are_not_increasing_integers(ids):
+    with pytest.raises(DataError, match="entity_ids must be 2 strictly increasing integers"):
+        kg.KnowledgeGraph(2, 1, np.array([[0, 0, 1]]), entity_ids=ids)
+
+
 # ---------------------------------------------------------- graph structure
 
 
@@ -143,6 +156,42 @@ def test_round_trip_is_lossless(tmp_path, small_task):
     np.testing.assert_array_equal(reloaded.init_emb1, again.init_emb1)
     np.testing.assert_array_equal(reloaded.init_emb2, again.init_emb2)
     assert reloaded.g1.base.entity_names == again.g1.base.entity_names
+    for side in ("g1", "g2"):
+        ids = getattr(small_task, side).base.entity_ids
+        np.testing.assert_array_equal(getattr(reloaded, side).base.entity_ids, ids)
+        np.testing.assert_array_equal(getattr(again, side).base.entity_ids, ids)
+
+
+def _rewrite_columns(path, columns, change):
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    for row in rows:
+        for col in columns:
+            row[col] = str(change(int(row[col])))
+    path.write_text("".join("\t".join(row) + "\n" for row in rows))
+
+
+def test_save_keeps_dataset_ids_of_a_loaded_dataset(tmp_path, small_task):
+    first = tmp_path / "first"
+    kg.save_dbp15k(small_task, first)
+    # graph 2's entity ids start at 1000 and relation ids are spaced out
+    for name, columns in (("ent_ids_2", [0]), ("ent_emb_2", [0]),
+                          ("triples_2", [0, 2]), ("ref_ent_ids", [1])):
+        _rewrite_columns(first / name, columns, lambda e: e + 1000)
+    for side in (1, 2):
+        _rewrite_columns(first / f"triples_{side}", [1], lambda r: 10 * r + 3)
+    loaded = kg.load_dbp15k(first)
+    np.testing.assert_array_equal(loaded.g2.base.entity_ids, np.arange(1000, 1060))
+    kg.save_dbp15k(loaded, tmp_path / "second")
+    again = kg.load_dbp15k(tmp_path / "second")
+    for side in ("g1", "g2"):
+        a, b = getattr(loaded, side).base, getattr(again, side).base
+        np.testing.assert_array_equal(a.entity_ids, b.entity_ids)
+        np.testing.assert_array_equal(a.triples, b.triples)
+        assert a.num_relations == b.num_relations
+    for key in ("seeds_train", "seeds_test", "init_emb1", "init_emb2"):
+        np.testing.assert_array_equal(getattr(loaded, key), getattr(again, key))
+    refs = set((first / "ref_ent_ids").read_text().splitlines())
+    assert set((tmp_path / "second" / "ref_ent_ids").read_text().splitlines()) == refs
 
 
 @settings(max_examples=25, deadline=None)
@@ -187,6 +236,11 @@ def test_loader_errors(tmp_path, small_task):
     with pytest.raises(DataError, match=":4"):
         kg.load_dbp15k(out)
 
+    lines[3] = f"0\t{2**64}\t1"
+    triples_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=":4: bad relation id"):
+        kg.load_dbp15k(out)
+
     lines[3] = "0\t0\t999999"
     triples_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="unknown entity"):
@@ -213,6 +267,7 @@ LINE_MUTATIONS = {
     "non-utf8": lambda line: line + b"\xff",
     "duplicate-line": lambda line: line + b"\n" + line,
     "unknown-entity": lambda line: b"999999" + line[line.index(b"\t"):],
+    "id-beyond-int64": lambda line: str(2**64).encode() + line[line.index(b"\t"):],
 }
 
 
