@@ -133,13 +133,6 @@ class Tensor:
     def grad(self, value):
         self._node.grad = value
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def __add__(self, other):
         return add(self, other)
 
@@ -154,9 +147,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -330,12 +320,6 @@ def concat(*parts):
     return _record(data, parts, lambda g: np.split(g, splits, axis=-1), rebuild)
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-    old = a.data.shape
-    return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
 def take_rows(a, rows):
     """Gather rows (axis 0) by a ``kernels.Segments`` over ``a``'s rows or an
     index array, wrapped into one here; the backward scatter-adds duplicates."""
@@ -363,22 +347,9 @@ def reduce_sum(a, axis=None):
     return _record(np.sum(a.data, axis=axis), (a,), backward)
 
 
-def segment_softmax(logits, seg):
-    """Softmax normalized independently within each segment of ``seg``.
-
-    Stabilized by subtracting the per-segment maximum before exponentiation,
-    so shifting all logits of a segment by a constant leaves the output
-    unchanged.
-    """
-    logits = as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise DimensionError(f"segment_softmax: expected 1-D logits, got {logits.data.shape}")
-    out, rule = _softmax(logits.data, seg)
-    return _record(out, (logits,), lambda g: (rule(g),))
-
-
 def _softmax(logits, seg):
-    # segment_softmax's value and backward rule, which keeps the value
+    # softmax within each segment of ``seg``, stabilized by the segment's
+    # maximum, and its backward rule, which keeps the value
     exp = np.exp(logits - kernels.segment_max(logits, seg)[seg.ids])
     out = exp / kernels.segment_sum(exp, seg)[seg.ids]
 
@@ -401,7 +372,7 @@ def segment_sum(values, seg):
 def grouped_attention(query, key, value, seg, attn_vec):
     """GAT-style softmax-within-group aggregation of ``value`` rows as one
     tape record, bitwise equal to the take_rows, concat, matmul, leaky_relu,
-    segment_softmax, mul, segment_sum chain; see ``oracles.grouped_attention``.
+    segment softmax, mul, segment_sum chain; see ``oracles.grouped_attention``.
     Logits are ``leaky_relu((query ‖ key) @ attn_vec)``, normalized within each
     group of ``seg``. An operand is a tensor with a row per ``seg`` id or a
     ``(tensor, Segments)`` pair that the op gathers, once per pair object.
@@ -415,7 +386,7 @@ def grouped_attention(query, key, value, seg, attn_vec):
     dq, dk = (t.data.shape[-1] for t in tensors[:2])
     if counts != [n] * 3 or spans != sizes or attn_vec.data.shape != (dq + dk, 1):
         raise DimensionError(f"grouped_attention: rows {counts}, {n} ids, gathers over {spans} "
-                             f"of {sizes} rows, attn {attn_vec.shape}")
+                             f"of {sizes} rows, attn {attn_vec.data.shape}")
     sources, attn_data = [_saved(t) for t in tensors], _saved(attn_vec)
 
     def rows_of(r, data, block=np.s_[:]):  # a gathered operand's rows are a new array

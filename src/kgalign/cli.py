@@ -9,8 +9,12 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import sys
 import time
+
+import numpy as np
+import scipy
 
 from . import __version__
 from . import evaluation, kg, selfcheck, training
@@ -85,6 +89,22 @@ def resolve_config(args):
     return TrainConfig(**overrides)
 
 
+# thread counts that can change the order of BLAS summation, and so output bits
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment():
+    """What decides whether another machine's run is bitwise equal; a thread
+    variable is None when unset."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        **{name: os.environ.get(name) for name in THREAD_VARIABLES},
+    }
+
+
 def _write_manifest(out_dir, command, cfg, data_dir, artifacts, timings):
     manifest = {
         "tool": "kgalign",
@@ -95,6 +115,7 @@ def _write_manifest(out_dir, command, cfg, data_dir, artifacts, timings):
         "dataset_fingerprint": dataset_fingerprint(data_dir),
         "artifacts": artifacts,
         "timings": timings,
+        "environment": _environment(),
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -329,22 +329,6 @@ def load_dbp15k(directory, train_ratio=0.30, seed=0) -> AlignmentTask:
         raise _located(exc, ref_path, [n for n, _ in rows], refs[:, 0], refs[:, 1]) from None
 
 
-def read_graph_stats(directory):
-    """Per-side (entities, relations, triples) counts plus the link count.
-
-    Only needs the five core files, so it works on stock DBP15K folders that
-    lack embedding files.
-    """
-    paths = {name: os.path.join(directory, name) for name in _CORE_FILES}
-    stats = {}
-    for side in (1, 2):
-        id_map, _ = _read_entities(paths[f"ent_ids_{side}"])
-        triples, nrel, _ = _read_triples(paths[f"triples_{side}"], id_map)
-        stats[side] = (len(id_map), nrel, len(triples))
-    links = len(_read_tsv(paths["ref_ent_ids"], 2, "reference"))
-    return stats[1], stats[2], links
-
-
 def save_dbp15k(task: AlignmentTask, directory):
     """Write a task back out in the DBP15K layout, in its dataset entity ids
     (lossless round-trip)."""

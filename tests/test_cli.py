@@ -1,9 +1,11 @@
 import json
 import os
+import platform
 import shutil
 
 import numpy as np
 import pytest
+import scipy
 
 from kgalign import autodiff as ad
 from kgalign import cli, kg, training
@@ -84,6 +86,21 @@ def test_train_manifest_contents(run_dir, dataset):
     assert manifest["config"]["epochs"] == 4
     assert manifest["config"]["rng_seed"] == 1
     assert manifest["dataset_fingerprint"] == cli.dataset_fingerprint(dataset)
+
+
+def test_train_manifest_records_environment(dataset, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run_env"
+    assert run_cli("train", "--data", str(dataset), "--epochs", "1",
+                   "--d-r", "4", "--d-t", "4", "--out", str(out)) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+        "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+    }
 
 
 def test_train_zero_epochs_checkpoints_init(dataset, tmp_path):
@@ -444,11 +461,8 @@ def test_check_passes_clean_build(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "step/recompute\tPASS\tmax_abs_diff=0.000e+00" in out
-    # at least one check per differentiable operation
-    for op in ("matmul", "add", "mul", "concat", "relu", "leaky_relu", "tanh",
-               "sigmoid", "absval", "take_rows", "reduce_sum", "segment_softmax",
-               "segment_sum"):
-        assert f"grad/{op}\t" in out
+    # one grad/ case per op a training step records: test_reachability
+    assert out.endswith("32/32 checks passed\n")
 
 
 def test_check_detects_injected_backward_sign_flip(monkeypatch, capsys):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from kgalign import kg
 from kgalign.kg import DataError
 
+import testlib
+
 
 def tiny_graph():
     return kg.KnowledgeGraph(2, 1, np.array([[0, 0, 1]]))
@@ -295,7 +297,7 @@ def test_graph_stats_reads_core_files_only(tmp_path, small_task):
     out = tmp_path / "ds"
     kg.save_dbp15k(small_task, out)
     (out / "ent_emb_1").unlink()  # stats must not need embedding files
-    stats1, stats2, links = kg.read_graph_stats(out)
+    stats1, stats2, links = testlib.read_graph_stats(out)
     assert stats1 == (small_task.g1.num_entities, small_task.g1.base.num_relations,
                       len(small_task.g1.base.triples))
     assert links == len(small_task.seeds_train) + len(small_task.seeds_test)

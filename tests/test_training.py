@@ -11,6 +11,8 @@ from kgalign import evaluation, kernels, kg, selfcheck, training, triples
 from kgalign.training import TrainConfig
 from kgalign import oracles as naive
 
+import testlib
+
 
 # --------------------------------------------------------------- distances
 # the L1 distance the model uses everywhere: negatives, seed growth, ranking
@@ -180,7 +182,7 @@ def test_k_nearest_rows_equals_sorting_oracle(case, block_elems):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
         got = training._k_nearest_rows(queries, candidates, k, exclude)
-    want = naive.k_nearest_by_sorting(brute_l1(queries, candidates), k, exclude)
+    want = testlib.k_nearest_by_sorting(brute_l1(queries, candidates), k, exclude)
     np.testing.assert_array_equal(got, want)
 
 
@@ -207,7 +209,7 @@ def test_expansion_equals_mutual_nearest_oracle(n1, n2, seed, block_elems):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
         got = training.expand_seeds_bidirectional(f1, f2, pairs)
-    assert [tuple(p) for p in got.tolist()] == naive.mutual_nearest(brute_l1(f1, f2))
+    assert [tuple(p) for p in got.tolist()] == testlib.mutual_nearest(brute_l1(f1, f2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
