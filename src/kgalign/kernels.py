@@ -10,7 +10,8 @@ Pairwise distances come from scipy's ``cdist``, which adds one dimension at
 a time from the first. Every output is therefore bitwise reproducible.
 Every query-by-candidate search (negatives, seed proposals, ranks) reads
 its distances from ``distance_blocks``, so the whole matrix never exists;
-each entry depends only on its two rows, so blocking changes no result.
+each entry depends only on its two rows, so the row blocks and the column
+tiles that fill them change no result.
 """
 
 import numpy as np
@@ -18,8 +19,11 @@ from scipy import sparse
 from scipy.spatial.distance import cdist
 
 # distance entries per block of ``distance_blocks`` (one row may exceed it),
-# which bounds every search's distances and their temporaries
-BLOCK_ELEMS = 1 << 22
+# which bounds every search's distances and their temporaries: 2 MB
+BLOCK_ELEMS = 1 << 18
+# candidates per ``cdist`` call that fills a block, so the tile's candidate
+# rows stay in cache across the block's query rows
+TILE_COLS = 256
 
 
 class Segments:
@@ -58,19 +62,30 @@ def segment_max(values, seg):
     return out
 
 
-def pairwise_manhattan(a, b):
-    """Dense (len(a), len(b)) matrix of L1 distances between row vectors."""
+def _l1_operands(a, b):
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return cdist(a, b, "cityblock")
+    return a, b
+
+
+def pairwise_manhattan(a, b):
+    """Dense (len(a), len(b)) matrix of L1 distances between row vectors."""
+    return cdist(*_l1_operands(a, b), "cityblock")
 
 
 def distance_blocks(queries, candidates):
     """Yield ``(rows, block)``: ``block`` is a fresh array holding the ``rows``
     slice of ``pairwise_manhattan(queries, candidates)``, at most
-    ``max(BLOCK_ELEMS, len(candidates))`` entries, in row order."""
-    step = max(1, BLOCK_ELEMS // max(len(candidates), 1))
+    ``max(BLOCK_ELEMS, len(candidates))`` entries, in row order. Each block is
+    filled one ``TILE_COLS``-candidate column tile at a time."""
+    queries, candidates = _l1_operands(queries, candidates)
+    width = len(candidates)
+    step = max(1, BLOCK_ELEMS // max(width, 1))
     for lo in range(0, len(queries), step):
-        yield slice(lo, lo + step), pairwise_manhattan(queries[lo:lo + step], candidates)
+        rows = queries[lo:lo + step]
+        block = np.empty((len(rows), width))
+        for c in range(0, width, TILE_COLS):
+            block[:, c:c + TILE_COLS] = pairwise_manhattan(rows, candidates[c:c + TILE_COLS])
+        yield slice(lo, lo + step), block

@@ -307,11 +307,13 @@ def _oracle_diffs(rng):
     yield "neighbor_reaggregate", _max_abs_diff(got, np.concatenate([x, agg], axis=1))
 
     # evaluate's rank path against a full sort of each query's distances;
-    # small integer coordinates make distance ties common
+    # small integer coordinates make distance ties common, and more targets
+    # than kernels.TILE_COLS put ties on both sides of a tile seam
+    n_t = 300
     emb_q = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
-    emb_t = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
-    pairs = np.stack([rng.permutation(n), rng.permutation(n)], axis=1)[: n // 2]
-    pool = np.sort(pairs[:, 1])
+    emb_t = rng.integers(-2, 3, size=(n_t, d)).astype(np.float64)
+    pairs = np.stack([rng.permutation(n), rng.permutation(n_t)[:n]], axis=1)[: n // 2]
+    pool = np.arange(n_t)
     got = evaluation.rank_pairs(emb_q, emb_t, pairs, pool)
     want = naive.ranks_by_sorting(emb_q[pairs[:, 0]], emb_t[pool],
                                   np.searchsorted(pool, pairs[:, 1]))

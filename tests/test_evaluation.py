@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgalign import evaluation, kernels, kg
 from kgalign.evaluation import EvalReport, evaluate, rank_pairs
 from kgalign import oracles as naive
+
+import testlib
 
 
 def make_eval_task(rng, n=30, emb_dim=6):
@@ -65,6 +69,22 @@ def test_rank_matches_full_sort_oracle(rng):
         true_idx = int(rng.integers(20))
         want = naive.ranks_by_sorting(query[None, :], cands, [true_idx])[0]
         assert rank_one(query, cands, true_idx) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from(testlib.BLOCK_SIZES), st.sampled_from(testlib.TILE_SIZES))
+def test_rank_pairs_equals_sorting_oracle(n_queries, n_cands, seed, block_elems, tile_cols):
+    rng = np.random.default_rng(seed)
+    # a small grid makes distance ties common, within and across blocks and tiles
+    queries = rng.integers(0, 3, size=(n_queries, 2)).astype(np.float64)
+    cands = rng.integers(0, 3, size=(n_cands + 3, 2)).astype(np.float64)
+    pool = np.sort(rng.choice(len(cands), size=n_cands, replace=False))
+    pairs = np.stack([np.arange(n_queries), rng.choice(pool, size=n_queries)], axis=1)
+    with testlib.search_sizes(block_elems, tile_cols):
+        got = rank_pairs(queries, cands, pairs, pool)
+    want = naive.ranks_by_sorting(queries, cands[pool], np.searchsorted(pool, pairs[:, 1]))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_rank_rejects_bad_index(rng):

@@ -7,6 +7,8 @@ from hypothesis.extra import numpy as hnp
 from kgalign import kernels
 from kgalign import oracles as naive
 
+import testlib
+
 
 def test_segment_sum_matches_naive_loop(rng):
     values = rng.normal(size=(40, 6))
@@ -87,16 +89,60 @@ def test_pairwise_manhattan_rejects_width_mismatch():
         kernels.pairwise_manhattan(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+# 1 << 22 entries hold the whole matrix in one block
 @pytest.mark.parametrize("block_elems, rows_per_block", [(1, 1), (7, 1), (20, 2), (1 << 22, 9)])
 def test_distance_blocks_tile_the_matrix_in_row_order(rng, monkeypatch, block_elems,
                                                       rows_per_block):
     a, b = rng.normal(size=(9, 5)), rng.normal(size=(8, 5))
     monkeypatch.setattr(kernels, "BLOCK_ELEMS", block_elems)
-    blocks = list(kernels.distance_blocks(a, b))
-    assert [rows.start for rows, _ in blocks] == list(range(0, 9, rows_per_block))
-    assert all(block.size <= max(block_elems, len(b)) for _, block in blocks)
+    for tile_cols in testlib.TILE_SIZES:
+        monkeypatch.setattr(kernels, "TILE_COLS", tile_cols)
+        blocks = list(kernels.distance_blocks(a, b))
+        assert [rows.start for rows, _ in blocks] == list(range(0, 9, rows_per_block))
+        assert all(block.size <= max(block_elems, len(b)) for _, block in blocks)
+        whole = np.concatenate([block for _, block in blocks])
+        np.testing.assert_array_equal(whole, kernels.pairwise_manhattan(a, b))
+
+
+@pytest.mark.parametrize("tile_cols", testlib.TILE_SIZES)
+@pytest.mark.parametrize("queries, candidates", [(0, 8), (9, 0), (0, 0)])
+def test_distance_blocks_of_an_empty_side(monkeypatch, queries, candidates, tile_cols):
+    monkeypatch.setattr(kernels, "TILE_COLS", tile_cols)
+    blocks = list(kernels.distance_blocks(np.ones((queries, 5)), np.ones((candidates, 5))))
+    # no query gives no block; no candidate gives zero-width blocks of every query
+    assert bool(blocks) == (queries > 0)
+    assert sum(len(block) for _, block in blocks) == queries
+    assert all(block.shape[1] == candidates for _, block in blocks)
+
+
+@pytest.mark.parametrize("candidates", [0, 3])
+def test_distance_blocks_reject_width_mismatch(candidates):
+    # checked once per search, so also when no tile is ever computed
+    with pytest.raises(ValueError):
+        next(kernels.distance_blocks(np.zeros((2, 3)), np.zeros((candidates, 4))))
+
+
+def test_distance_blocks_make_inputs_contiguous_once(rng, monkeypatch):
+    a, b = rng.normal(size=(9, 10)), rng.normal(size=(8, 10))
+    calls = []
+    real = kernels.pairwise_manhattan
+
+    def recording(q, c):
+        calls.append((q, c))
+        return real(q, c)
+
+    monkeypatch.setattr(kernels, "pairwise_manhattan", recording)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", 16)
+    monkeypatch.setattr(kernels, "TILE_COLS", 3)
+    # strided and Fortran-ordered inputs: each needs one contiguous copy
+    blocks = list(kernels.distance_blocks(a[:, ::2], np.asfortranarray(b[:, ::2])))
     whole = np.concatenate([block for _, block in blocks])
-    np.testing.assert_array_equal(whole, kernels.pairwise_manhattan(a, b))
+    np.testing.assert_array_equal(whole, real(a[:, ::2], b[:, ::2]))
+    assert len(calls) == 5 * 3  # 2 rows a block, 3 tiles a block
+    for side in (0, 1):
+        args = [call[side] for call in calls]
+        assert all(arg.flags.c_contiguous for arg in args)
+        assert len({id(arg.base) for arg in args}) == 1  # views of one copy
 
 
 # ------------------------------------------- properties against the oracles

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,42 +174,39 @@ def brute_l1(queries, candidates):
         return np.abs(queries[:, None, :] - candidates[None, :, :]).sum(axis=2)
 
 
-BLOCK_SIZES = [1, 7, kernels.BLOCK_ELEMS]  # one row a block, a few rows, all rows
-
-
 @settings(max_examples=80, deadline=None)
-@given(tied_embeddings(), st.sampled_from(BLOCK_SIZES))
-def test_k_nearest_rows_equals_sorting_oracle(case, block_elems):
+@given(tied_embeddings(), st.sampled_from(testlib.BLOCK_SIZES),
+       st.sampled_from(testlib.TILE_SIZES))
+def test_k_nearest_rows_equals_sorting_oracle(case, block_elems, tile_cols):
     queries, candidates, k, exclude = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+    with testlib.search_sizes(block_elems, tile_cols):
         got = training._k_nearest_rows(queries, candidates, k, exclude)
     want = testlib.k_nearest_by_sorting(brute_l1(queries, candidates), k, exclude)
     np.testing.assert_array_equal(got, want)
 
 
-def test_k_nearest_rows_tie_at_kth_takes_lower_ids(monkeypatch):
+def test_k_nearest_rows_tie_at_kth_takes_lower_ids():
     # distances [3, 1, 2, 1, 2, 2, 0.5] and [1, 1, 0, 1, 0, 0, 1.5]; the
     # k-th entry ties with the next, and the excluded id is the nearest
     candidates = np.array([[3.0], [1.0], [2.0], [1.0], [2.0], [2.0], [0.5]])
-    for block_elems in BLOCK_SIZES:
-        monkeypatch.setattr(kernels, "BLOCK_ELEMS", block_elems)
-        got = training._k_nearest_rows(np.array([[0.0], [2.0]]), candidates, 3, np.array([6, 2]))
-        assert got.tolist() == [[1, 3, 2], [4, 5, 0]], block_elems
+    for sizes in itertools.product(testlib.BLOCK_SIZES, testlib.TILE_SIZES):
+        with testlib.search_sizes(*sizes):
+            got = training._k_nearest_rows(np.array([[0.0], [2.0]]), candidates, 3,
+                                           np.array([6, 2]))
+        assert got.tolist() == [[1, 3, 2], [4, 5, 0]], sizes
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
-       st.sampled_from(BLOCK_SIZES))
-def test_expansion_equals_mutual_nearest_oracle(n1, n2, seed, block_elems):
+       st.sampled_from(testlib.BLOCK_SIZES), st.sampled_from(testlib.TILE_SIZES))
+def test_expansion_equals_mutual_nearest_oracle(n1, n2, seed, block_elems, tile_cols):
     rng = np.random.default_rng(seed)
-    # few coordinates make distance ties common, within and across blocks,
-    # and include inf distances
+    # few coordinates make distance ties common, within and across blocks
+    # and tiles, and include inf distances
     f1 = rng.choice(COORDS, size=(n1, 2))
     f2 = rng.choice(COORDS, size=(n2, 2))
     pairs = np.empty((0, 2), dtype=np.int64)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+    with testlib.search_sizes(block_elems, tile_cols):
         got = training.expand_seeds_bidirectional(f1, f2, pairs)
     assert [tuple(p) for p in got.tolist()] == testlib.mutual_nearest(brute_l1(f1, f2))
 
@@ -549,18 +548,68 @@ def test_fit_final_embeddings_match_golden_hash(small_task, name):
 def test_fit_searches_hold_one_distance_block_at_a_time(small_task, monkeypatch):
     # semi mode runs all three searches: negatives, seed proposals, ranks
     overrides, want = GOLDEN_FIT["semi"]
-    block_elems = 300  # under the whole matrix of each search's first call on small_task
-    calls = []
-    real = kernels.pairwise_manhattan
+    block_elems, tile_cols = 300, 7  # both under each search's width on small_task
+    widths, tiles = [], []  # each search's candidate count; each tile's shape
+    real_blocks, real_tile = kernels.distance_blocks, kernels.pairwise_manhattan
 
-    def recording(a, b):
-        dist = real(a, b)
-        calls.append((dist.size, len(b)))
-        return dist
+    def recording_blocks(queries, candidates):
+        widths.append(len(candidates))
+        return real_blocks(queries, candidates)
 
-    monkeypatch.setattr(kernels, "pairwise_manhattan", recording)
+    def recording_tile(a, b):
+        tiles.append((len(a), len(b), widths[-1]))
+        return real_tile(a, b)
+
+    monkeypatch.setattr(kernels, "distance_blocks", recording_blocks)
+    monkeypatch.setattr(kernels, "pairwise_manhattan", recording_tile)
     monkeypatch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+    monkeypatch.setattr(kernels, "TILE_COLS", tile_cols)
     result = training.fit(small_task, TrainConfig(d_r=6, d_t=6, **overrides))
-    assert calls and all(size <= max(block_elems, n) for size, n in calls)
+    assert tiles and all(cols <= tile_cols and rows <= max(1, block_elems // width)
+                         for rows, cols, width in tiles)
+    assert any(rows > 1 for rows, _, _ in tiles) and any(cols < w for _, cols, w in tiles)
     got = hashlib.sha256(result.final_emb1.tobytes() + result.final_emb2.tobytes())
     assert got.hexdigest() == want
+
+
+# four 2 MB distance blocks: a search's own peak, over the rows it gathers and
+# returns, whatever the size of its whole query-by-candidate matrix (bytes)
+SEARCH_WORKING_SET = 4 * (1 << 18) * 8
+
+
+@pytest.fixture(scope="module")
+def wide_task():
+    # at 2000 x 64 one whole query-by-candidate matrix would be 32 MB
+    return kg.generate_synthetic_pair(2000, 5, 3, emb_dim=64, rng_seed=3)
+
+
+@pytest.mark.parametrize("search", ["refresh_negatives", "expand_seeds_bidirectional",
+                                    "evaluate"])
+def test_searches_peak_within_four_distance_blocks(wide_task, monkeypatch, search):
+    f1, f2 = wide_task.init_emb1, wide_task.init_emb2
+    rng = np.random.default_rng(3)
+    pairs = np.stack([rng.permutation(2000), rng.permutation(2000)], axis=1)
+    runs = {  # each returns its output arrays
+        "refresh_negatives": lambda: training.refresh_negatives(f1, f2, pairs[:1965], k=5),
+        "expand_seeds_bidirectional": lambda: [
+            training.expand_seeds_bidirectional(f1, f2, pairs[:0])],
+        "evaluate": lambda: [evaluation.evaluate(wide_task, f1, f2, candidate_pool="all",
+                                                 bidirectional=True).per_query_ranks],
+    }
+    gathered = []  # bytes of each search's queries and candidates
+    real_blocks = kernels.distance_blocks
+
+    def recording_blocks(queries, candidates):
+        gathered.append(queries.nbytes + candidates.nbytes)
+        return real_blocks(queries, candidates)
+
+    monkeypatch.setattr(kernels, "distance_blocks", recording_blocks)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outputs = runs[search]()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    own = peak - sum(gathered) - sum(out.nbytes for out in outputs)
+    assert gathered and own < SEARCH_WORKING_SET, own

@@ -1,5 +1,6 @@
-"""Test-only helpers: loop oracles, two taped ops no model stage records, and
-a count reader for DBP15K folders.
+"""Test-only helpers: loop oracles, two taped ops no model stage records, the
+search's block and tile sizes under test, and a count reader for DBP15K
+folders.
 
 ``kgalign`` ships only what a command runs (see ``test_reachability.py``);
 what only the tests read lives here.
@@ -7,11 +8,13 @@ what only the tests read lives here.
 
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from kgalign import autodiff as ad
-from kgalign import kg
+from kgalign import kernels, kg
 
 # ------------------------------------------------------------- taped ops
 # rebuild ``ad.grouped_attention``'s eight-op reference chain from the
@@ -88,6 +91,23 @@ def backward_keep_all(tape, loss):
             if node.grad is None:
                 node.grad = np.zeros_like(grad)
             node.grad = node.grad + grad
+
+
+# ------------------------------------------------------ search sizes
+# every search reads ``kernels.distance_blocks``; its results must not
+# depend on how the distances are cut into row blocks and column tiles
+
+BLOCK_SIZES = [1, 7, kernels.BLOCK_ELEMS]  # one row a block, a few rows, all rows
+TILE_SIZES = [1, 7, kernels.TILE_COLS]  # one candidate a tile, a few, the default
+
+
+@contextmanager
+def search_sizes(block_elems, tile_cols):
+    """Run the searches inside with these ``BLOCK_ELEMS`` and ``TILE_COLS``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+        patch.setattr(kernels, "TILE_COLS", tile_cols)
+        yield
 
 
 # ------------------------------------------------------------- file IO
