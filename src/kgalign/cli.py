@@ -279,6 +279,10 @@ def cmd_check(args):
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
+# the `train` flags not spelled as their TrainConfig field
+TRAIN_FLAGS = {"rng_seed": "--seed", "neg_refresh_epochs": "--neg-refresh"}
+
+
 def build_parser():
     parser = _Parser(prog="kgalign", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kgalign {__version__}")
@@ -298,22 +302,13 @@ def build_parser():
     p = sub.add_parser("train", help="train an alignment model")
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="flat `key = value` config file")
-    # each dest is the TrainConfig field the flag overrides
-    p.add_argument("--variant", choices=list(training.VARIANTS))
-    p.add_argument("--cycle-mode", dest="cycle_mode", type=int,
-                   choices=list(training.CYCLE_STEPS))
-    p.add_argument("--semi", action="store_const", const=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", dest="rng_seed", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--neg-k", dest="neg_k", type=int)
-    p.add_argument("--neg-refresh", dest="neg_refresh_epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--d-r", dest="d_r", type=int)
-    p.add_argument("--d-t", dest="d_t", type=int)
-    p.add_argument("--gcn-depth", dest="gcn_depth", type=int)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
+    # one flag per TrainConfig field, which checks the value
+    for field in dataclasses.fields(TrainConfig):
+        flag = TRAIN_FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+        if field.type is bool:
+            p.add_argument(flag, dest=field.name, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=field.name, type=field.type)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -42,11 +42,6 @@ def rank_pairs(query_embs, target_embs, pairs, pool):
     return ranks
 
 
-def _metrics(ranks):
-    hits = {k: float(np.mean(ranks <= k)) for k in HITS_KS}
-    return hits, float(np.mean(1.0 / ranks))
-
-
 def evaluate(task, final_emb1, final_emb2, candidate_pool="test",
              bidirectional=False) -> EvalReport:
     """Rank every test pair's true counterpart among the candidate pool.
@@ -62,23 +57,19 @@ def evaluate(task, final_emb1, final_emb2, candidate_pool="test",
         raise ValueError(f"candidate_pool must be {' or '.join(map(repr, CANDIDATE_POOLS))}, "
                          f"got {candidate_pool!r}")
 
-    if candidate_pool == "test":
-        pool2 = np.unique(test[:, 1])
-        pool1 = np.unique(test[:, 0])
-    else:
-        pool2 = np.arange(task.g2.num_entities)
-        pool1 = np.arange(task.g1.num_entities)
-
-    ranks = rank_pairs(final_emb1, final_emb2, test, pool2)
-    hits, mrr = _metrics(ranks)
-    if not bidirectional:
-        return EvalReport(hits, mrr, ranks)
-
-    reverse = test[:, ::-1]
-    ranks_rev = rank_pairs(final_emb2, final_emb1, reverse, pool1)
-    hits_rev, mrr_rev = _metrics(ranks_rev)
-    merged = {k: (hits[k] + hits_rev[k]) / 2.0 for k in hits}
-    return EvalReport(merged, (mrr + mrr_rev) / 2.0, np.concatenate([ranks, ranks_rev]))
+    # (queries, targets, pairs, target graph) per query direction
+    directions = [(final_emb1, final_emb2, test, task.g2)]
+    if bidirectional:
+        directions.append((final_emb2, final_emb1, test[:, ::-1], task.g1))
+    hits, mrr, ranks = dict.fromkeys(HITS_KS, 0.0), 0.0, []
+    for queries, targets, pairs, graph in directions:
+        pool = np.unique(pairs[:, 1]) if candidate_pool == "test" else np.arange(graph.num_entities)
+        ranks.append(rank_pairs(queries, targets, pairs, pool))
+        for k in HITS_KS:
+            hits[k] += float(np.mean(ranks[-1] <= k))
+        mrr += float(np.mean(1.0 / ranks[-1]))
+    n = len(directions)
+    return EvalReport({k: h / n for k, h in hits.items()}, mrr / n, np.concatenate(ranks))
 
 
 def write_report(report: EvalReport, path):

@@ -67,7 +67,8 @@ def build_normalized_adjacency(g: KnowledgeGraph) -> sp.csr_matrix:
     """Symmetric degree-normalized adjacency of the undirected graph.
 
     Edges connected by multiple relations collapse to weight 1, and the
-    diagonal is 1 for every entity.
+    diagonal is 1 for every entity. Each row lists its columns in
+    increasing order.
     """
     n = g.num_entities
     heads, tails = g.triples[:, 0], g.triples[:, 2]
@@ -81,28 +82,13 @@ def build_normalized_adjacency(g: KnowledgeGraph) -> sp.csr_matrix:
     return (inv_sqrt @ adj @ inv_sqrt).tocsr()
 
 
-def neighbor_edges(triples):
-    """Directed edge arrays (src, dst) over undirected neighbors, no self-loops.
-
-    Multi-relation edges collapse to one neighbor entry; edges are sorted by
-    (src, dst) so downstream grouping is deterministic.
-    """
-    heads, tails = triples[:, 0], triples[:, 2]
-    keep = heads != tails
-    lo = np.minimum(heads[keep], tails[keep])
-    hi = np.maximum(heads[keep], tails[keep])
-    # an edge (a, b) is the key a * width + b, which sorts by (a, b)
-    width = int(hi.max()) + 1 if hi.size else 1
-    undirected = np.unique(lo * width + hi)
-    lo, hi = np.divmod(undirected, width)
-    directed = np.sort(np.concatenate([undirected, hi * width + lo]))
-    return np.divmod(directed, width)
-
-
 class GraphStructure:
     """A graph plus the constants every forward pass reads, built once: the
-    ``kernels.Segments`` of the triple columns and of the neighbor edges,
-    and the triple count per relation, which must not be zero."""
+    normalized adjacency, the ``kernels.Segments`` of the triple columns and
+    of the neighbor edges, and the triple count per relation, which must not
+    be zero. The neighbor edges (src, dst) are the adjacency's off-diagonal
+    entries: each pair of distinct linked entities once per direction, in
+    (src, dst) order."""
 
     def __init__(self, base: KnowledgeGraph):
         self.base = base
@@ -115,9 +101,10 @@ class GraphStructure:
         self.rels = kernels.Segments(rels, base.num_relations)
         self.tails = kernels.Segments(tails, n)
         self.adjacency_norm = build_normalized_adjacency(base)
-        src, dst = neighbor_edges(base.triples)
-        self.neighbor_src = kernels.Segments(src, n)
-        self.neighbor_dst = kernels.Segments(dst, n)
+        entries = self.adjacency_norm.tocoo()
+        off_diagonal = entries.row != entries.col
+        self.neighbor_src = kernels.Segments(entries.row[off_diagonal], n)
+        self.neighbor_dst = kernels.Segments(entries.col[off_diagonal], n)
 
 
 @dataclass

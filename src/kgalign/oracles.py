@@ -26,15 +26,15 @@ def grouped_mean(rows, ids, num_groups):
     return out
 
 
-def leaky(v, slope=0.3):
-    return np.where(np.asarray(v) > 0, v, slope * np.asarray(v))
+def leaky(v):
+    return np.where(np.asarray(v) > 0, v, 0.3 * np.asarray(v))
 
 
-def grouped_attention(query, key, value, ids, num_groups, attn_vec, slope=0.3):
+def grouped_attention(query, key, value, ids, num_groups, attn_vec):
     """Softmax-within-group aggregation of `value` rows, before any outer
     activation; groups absent from `ids` stay zero."""
     logits = [
-        float(leaky(np.concatenate([query[i], key[i]]) @ np.asarray(attn_vec).reshape(-1), slope))
+        float(leaky(np.concatenate([query[i], key[i]]) @ np.asarray(attn_vec).reshape(-1)))
         for i in range(len(ids))
     ]
     out = np.zeros((num_groups, value.shape[1]))

@@ -106,7 +106,8 @@ def test_cycle_modes_differ_on_nondegenerate_chain(rng):
 
 def test_neighbor_edges_undirected_unique_sorted():
     trips = np.array([[0, 0, 1], [1, 1, 0], [1, 0, 2], [2, 2, 2]], dtype=np.int64)
-    src, dst = kg.neighbor_edges(trips)
+    graph = structure_of(trips, 3)
+    src, dst = graph.neighbor_src.ids, graph.neighbor_dst.ids
     # multi-edges collapse, self-loop dropped, both directions present
     assert list(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
@@ -134,10 +135,11 @@ def test_neighbor_star_matches_naive(rng):
     # 4-neighbor star centered at 0
     x = rng.normal(size=(5, 3))
     trips = np.array([[0, 0, i] for i in range(1, 5)], dtype=np.int64)
-    src, dst = kg.neighbor_edges(trips)
+    graph = structure_of(trips, 5)
+    src, dst = graph.neighbor_src.ids, graph.neighbor_dst.ids
     a = rng.normal(size=(6, 1))
     out = enhancer.neighbor_reaggregate(
-        ad.Tensor(x), Segments(src, 5), Segments(dst, 5), ad.Tensor(a)
+        ad.Tensor(x), graph.neighbor_src, graph.neighbor_dst, ad.Tensor(a)
     ).data
     agg = naive.grouped_attention(x[src], x[dst], x[dst], src, 5, a)
     np.testing.assert_allclose(out, np.concatenate([x, np.maximum(agg, 0.0)], axis=1),
@@ -148,10 +150,10 @@ def test_empty_neighborhood_gets_zero_block(rng):
     # only a self-loop triple: no undirected neighbors at all
     trips = np.array([[0, 0, 0], [1, 0, 2]], dtype=np.int64)
     x = rng.normal(size=(3, 3))
-    src, dst = kg.neighbor_edges(trips)
+    graph = structure_of(trips, 3)
     a = rng.normal(size=(6, 1))
     out = enhancer.neighbor_reaggregate(
-        ad.Tensor(x), Segments(src, 3), Segments(dst, 3), ad.Tensor(a)
+        ad.Tensor(x), graph.neighbor_src, graph.neighbor_dst, ad.Tensor(a)
     ).data
     assert (out[0, 3:] == 0.0).all()
 
