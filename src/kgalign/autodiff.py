@@ -59,9 +59,6 @@ class Tape:
         assert popped is self
         return False
 
-    def record(self, inputs, output, backward):
-        self.ops.append((inputs, output, backward))
-
     def backward(self, output, grad=None):
         """Populate ``grad`` on every requires_grad leaf reachable from output.
 
@@ -170,7 +167,7 @@ def _record(data, inputs, backward, rebuild=None):
         out._rebuild = rebuild
     if out_requires:
         nodes = tuple(t._node if t.requires_grad else None for t in inputs)
-        _TAPES[-1].record(nodes, out._node, backward)
+        _TAPES[-1].ops.append((nodes, out._node, backward))
     return out
 
 
@@ -307,17 +304,9 @@ def concat(*parts):
                              "before the last axis")
     splits = np.cumsum([s[-1] for s in shapes])[:-1]
     sources = [_saved(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
-    shape = data.shape
-
-    def rebuild():
-        # one rebuilt part alive at a time, copied into its slice
-        out = np.empty(shape)
-        for view, source in zip(np.split(out, splits, axis=-1), sources):
-            view[...] = source()
-        return out
-
-    return _record(data, parts, lambda g: np.split(g, splits, axis=-1), rebuild)
+    return _record(np.concatenate([p.data for p in parts], axis=-1), parts,
+                   lambda g: np.split(g, splits, axis=-1),
+                   lambda: np.concatenate([source() for source in sources], axis=-1))
 
 
 def take_rows(a, rows):
@@ -402,8 +391,7 @@ def grouped_attention(query, key, value, seg, attn_vec):
 
     scores, leaky_grad = _leaky((logit_rows() @ attn_vec.data).reshape(-1))
     weights, softmax_grad = _softmax(scores, seg)
-    weighted = np.array(rows_of(2, tensors[2].data), copy=gathers[2] is None)
-    weighted *= weights[:, None]
+    weighted = rows_of(2, tensors[2].data) * weights[:, None]
     out = kernels.segment_sum(weighted, seg)
 
     # attn_vec, then the composite's order: value, query, key, then one scatter
@@ -415,8 +403,7 @@ def grouped_attention(query, key, value, seg, attn_vec):
     slots += [[s for s in order if operands[s] is operands[r]] for r in reversed(firsts)]
 
     def backward(g):
-        g_rows = g[seg.ids]
-        g_rows *= rows_of(2, sources[2]())
+        g_rows = g[seg.ids] * rows_of(2, sources[2]())
         g_weights = _unbroadcast(g_rows, (n, 1)).reshape(-1)
         del g_rows  # before the buffer is rebuilt
         g_logits = leaky_grad(softmax_grad(g_weights)).reshape(-1, 1)

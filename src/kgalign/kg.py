@@ -253,6 +253,8 @@ def _read_embeddings(path, id_map, dim=None):
             vec = np.array([float(v) for v in values.split()], dtype=np.float64)
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed embedding row") from None
+        if not vec.size:
+            raise DataError(f"{path}:{lineno}: empty embedding row")
         if out is None:
             dim = vec.size if dim is None else dim
             out = np.empty((len(id_map), dim))

@@ -564,6 +564,21 @@ def test_train_non_finite_embedding_exits_data(dataset, tmp_path, capsys):
     assert "ent_emb_1:1: non-finite" in capsys.readouterr().err
 
 
+def test_train_empty_embedding_rows_exit_data(dataset, tmp_path, capsys):
+    # a 0-wide task would otherwise die in glorot init with a traceback
+    bad = tmp_path / "bad_data"
+    shutil.copytree(dataset, bad)
+    for side in (1, 2):
+        emb = bad / f"ent_emb_{side}"
+        emb.write_text("".join(row.split("\t")[0] + "\t\n"
+                               for row in emb.read_text().splitlines()))
+    code = run_cli("train", "--data", str(bad), "--epochs", "1",
+                   "--out", str(tmp_path / "r"))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "ent_emb_1:1: empty embedding row" in err and "Traceback" not in err
+
+
 def test_train_duplicate_embedding_exits_data(dataset, tmp_path, capsys):
     bad = tmp_path / "bad_data"
     shutil.copytree(dataset, bad)

@@ -314,6 +314,20 @@ def test_loader_rejects_malformed_embedding(tmp_path, small_task):
         kg.load_dbp15k(out)
 
 
+@pytest.mark.parametrize("rows", ["first", "all"])
+def test_loader_rejects_empty_embedding_row(tmp_path, small_task, rows):
+    # an empty first row must not size the matrix at width 0
+    out = tmp_path / "ds"
+    kg.save_dbp15k(small_task, out)
+    emb_path = out / "ent_emb_1"
+    lines = emb_path.read_text().splitlines()
+    cut = len(lines) if rows == "all" else 1
+    lines[:cut] = [line.split("\t")[0] + "\t" for line in lines[:cut]]
+    emb_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"ent_emb_1:1: empty embedding row$"):
+        kg.load_dbp15k(out)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_loader_rejects_non_finite_embedding(tmp_path, small_task, bad):
     out = tmp_path / "ds"
