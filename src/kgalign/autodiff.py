@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Operations record onto the innermost active ``Tape`` (a context manager).
-Recording order is execution order, which is already topological for a
-define-by-run graph, so the backward pass is a single reverse sweep that
-visits each recorded node exactly once.
+Operations record onto the innermost active ``Tape`` (a context manager) of
+the calling thread, not of the process, so each thread records on tapes of
+its own. Recording order is execution order, which is already topological
+for a define-by-run graph, so the backward pass is a single reverse sweep
+that visits each recorded node exactly once.
 
 A record holds gradient slots (``_Node``), not tensors, and each backward
 rule captures only the arrays and shapes it reads. An intermediate array is
@@ -27,6 +28,7 @@ gradients may share memory with each other: treat them as read-only
 (``adam_step`` only reads them).
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +40,11 @@ class DimensionError(ValueError):
     """Raised when operand shapes cannot be combined."""
 
 
-_TAPES: list["Tape"] = []
+class _Recording(threading.local):
+    tape = None  # the calling thread's innermost active Tape
+
+
+_active = _Recording()
 
 
 class Tape:
@@ -49,14 +55,14 @@ class Tape:
         # node is None when that input needs no gradient
         self.ops = []
         self._consumed = False
+        self._outer = None
 
     def __enter__(self):
-        _TAPES.append(self)
+        self._outer, _active.tape = _active.tape, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
-        assert popped is self
+        _active.tape, self._outer = self._outer, None
         return False
 
     def backward(self, output, grad=None):
@@ -161,13 +167,14 @@ def _record(data, inputs, backward, rebuild=None):
     references. A copy op passes ``rebuild``, which returns ``data`` anew;
     on a tape the output keeps it for ``_saved``.
     """
-    out_requires = bool(_TAPES) and any(t.requires_grad for t in inputs)
+    tape = _active.tape
+    out_requires = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=out_requires)
-    if _TAPES:
+    if tape is not None:
         out._rebuild = rebuild
     if out_requires:
         nodes = tuple(t._node if t.requires_grad else None for t in inputs)
-        _TAPES[-1].ops.append((nodes, out._node, backward))
+        tape.ops.append((nodes, out._node, backward))
     return out
 
 
@@ -434,17 +441,17 @@ def checkpoint(fn, x):
     and on every leaf ``fn`` reads, in the order one tape would. ``fn`` must
     be deterministic and read only arrays left unchanged until the sweep.
     """
-    if not _TAPES:
+    tape = _active.tape
+    if tape is None:
         return fn(x)
     if not x.requires_grad:
         raise ValueError("checkpoint: x needs no gradient, so no op would be recorded "
                          "and the gradients of what fn reads would be lost")
-    tapes = _TAPES[:]
-    _TAPES.clear()
+    _active.tape = None
     try:
         out = fn(x).data
     finally:
-        _TAPES[:] = tapes
+        _active.tape = tape
     node, source = x._node, _saved(x)
 
     def backward(g):

@@ -37,16 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def dataset_fingerprint(directory):
-    """Content hash over the dataset files, stable across machines."""
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
-        digest.update(name.encode("utf-8"))
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
+def task_fingerprint(task):
+    """sha256 over the loaded task in dense indices: each graph's entity
+    count and triples, the seed split and the initial embeddings, each
+    array with its shape. Renumbering the dataset's ids leaves it as it is."""
+    digest = hashlib.sha256(repr((task.g1.num_entities, task.g2.num_entities)).encode())
+    for array in (task.g1.base.triples, task.g2.base.triples, task.seeds_train,
+                  task.seeds_test, task.init_emb1, task.init_emb2):
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
     return digest.hexdigest()
 
 
@@ -105,14 +104,14 @@ def _environment():
     }
 
 
-def _write_manifest(out_dir, command, cfg, data_dir, artifacts, timings):
+def _write_manifest(out_dir, command, cfg, data_dir, task, artifacts, timings):
     manifest = {
         "tool": "kgalign",
         "version": __version__,
         "command": command,
         "config": dataclasses.asdict(cfg),
         "data_dir": os.path.abspath(data_dir),
-        "dataset_fingerprint": dataset_fingerprint(data_dir),
+        "task_fingerprint": task_fingerprint(task),
         "artifacts": artifacts,
         "timings": timings,
         "environment": _environment(),
@@ -166,7 +165,7 @@ def cmd_train(args):
     checkpoint = os.path.join(args.out, "checkpoint.npz")
     training.save_checkpoint(checkpoint, result.params)
     _write_manifest(
-        args.out, "train", cfg, args.data,
+        args.out, "train", cfg, args.data, task,
         artifacts={"checkpoint": "checkpoint.npz", "loss_log": "loss_log.tsv"},
         timings={
             "train_seconds": round(train_seconds, 3),
@@ -179,7 +178,10 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_run(run_dir):
+def _load_run(run_dir, data_dir):
+    """The task loaded from ``data_dir`` under the run's config, the run's
+    parameters and the config; raises ``DataError`` for a run that does not
+    fit that task, or was trained on another."""
     manifest_path = os.path.join(run_dir, "manifest.json")
     checkpoint_path = os.path.join(run_dir, "checkpoint.npz")
     if not os.path.exists(manifest_path):
@@ -202,15 +204,21 @@ def _load_run(run_dir):
     except ConfigError as exc:
         # every TrainConfig check names its key first
         raise DataError(f"{manifest_path}: bad config value: {exc}") from None
-    return checkpoint_path, cfg
+    task = kg.load_dbp15k(data_dir, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
+    params = training.load_checkpoint(checkpoint_path, task, cfg)
+    # after the checkpoint's checks, which name what does not fit
+    if "task_fingerprint" not in manifest:
+        raise DataError(f"{manifest_path}: no task_fingerprint, so the data cannot be checked")
+    if manifest["task_fingerprint"] != task_fingerprint(task):
+        raise DataError(f"{manifest_path}: task_fingerprint differs from the task in "
+                        f"{data_dir}: the run was trained on other data or another split")
+    return task, params, cfg
 
 
 def cmd_eval(args):
-    checkpoint_path, cfg = _load_run(args.model)
-    task = kg.load_dbp15k(args.data, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
-    params = training.load_checkpoint(checkpoint_path, task, cfg)
+    task, params, cfg = _load_run(args.model, args.data)
     f1, f2 = training.forward(task, params, cfg)
-    training._check_finite(f"eval of {checkpoint_path}", f1.data, f2.data)
+    training._check_finite(f"eval of {args.model}", f1.data, f2.data)
     report = evaluation.evaluate(
         task, f1.data, f2.data,
         candidate_pool=args.pool, bidirectional=args.bidirectional,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from . import enhancer, kernels, structure, triples
+from . import enhancer, evaluation, kernels, structure, triples
 from .enhancer import CYCLE_STEPS
 from .kg import AlignmentTask, DataError
 from .triples import VARIANTS
@@ -286,8 +286,6 @@ class FitResult:
 
 def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     """Train on the task's seed pairs; deterministic for a fixed config seed."""
-    from .evaluation import evaluate
-
     check_task(task, cfg)
     params = init_params(task, cfg, np.random.default_rng(cfg.rng_seed))
     order = sorted(params)
@@ -297,7 +295,9 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
     # one pass of each graph per parameter state: each epoch's loss,
     # negatives and seed proposals read the pass run after the previous
     # step, which also feeds that step's evaluation; the pass after the
-    # last step is untaped and is the output
+    # last step is the output and is untaped: no step sweeps it, and a tape
+    # would hold graph 2's activations until fit returns, leaving their
+    # freed heap pages resident beneath the output arrays
     with ad.Tape() if cfg.epochs > 0 else contextlib.nullcontext() as tape:
         f1, f2 = forward(task, params, cfg)
     for epoch in range(cfg.epochs):
@@ -328,7 +328,7 @@ def fit(task: AlignmentTask, cfg: TrainConfig, log=None) -> FitResult:
         record = {"epoch": epoch, "loss": loss_value, "train_pairs": len(train_pairs)}
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
             _check_finite(f"evaluation after epoch {epoch}", f1.data, f2.data)
-            record["hits1"] = evaluate(task, f1.data, f2.data).hits_at[1]
+            record["hits1"] = evaluation.evaluate(task, f1.data, f2.data).hits_at[1]
         history.append(record)
         if log is not None:
             log(record)

@@ -1,6 +1,8 @@
 import math
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -505,6 +507,67 @@ def test_no_tape_means_no_recording():
     x = ad.Tensor([1.0], requires_grad=True)
     y = x * 3.0
     assert not y.requires_grad and y.grad is None
+
+
+def in_two_threads(*fns):
+    """Run each function on a thread of its own; re-raise a thread's error."""
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(fn) for fn in fns]
+        return [future.result() for future in futures]
+
+
+def test_threads_record_on_tapes_of_their_own(rng):
+    both_open = threading.Barrier(2, timeout=10)
+    xs = [ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2)]
+
+    def record(x):
+        with ad.Tape() as tape:
+            both_open.wait()
+            loss = ad.reduce_sum(x * x)
+            both_open.wait()  # neither tape closes before both have recorded
+        ops = [op[0] for op in tape.ops]
+        tape.backward(loss)
+        return ops
+
+    ops = in_two_threads(lambda: record(xs[0]), lambda: record(xs[1]))
+    for x, inputs in zip(xs, ops):
+        assert inputs[0] == (x._node, x._node) and len(inputs) == 2
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+
+def test_checkpoint_leaves_another_threads_tape_recording(rng):
+    # thread B opens its tape, thread A's checkpoint runs fn off A's tape,
+    # and B records while fn runs
+    step = threading.Barrier(2, timeout=10)
+    x, y = (ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+    calls = []
+
+    def fn(a):
+        if not calls:  # the sweep re-runs fn, after thread B is done
+            step.wait()  # fn runs
+            step.wait()  # B has recorded
+        calls.append(a)
+        return ad.tanh(a)
+
+    def thread_a():
+        step.wait()  # B's tape is open
+        with ad.Tape() as tape:
+            loss = ad.reduce_sum(ad.checkpoint(fn, x))
+        tape.backward(loss)
+
+    def thread_b():
+        with ad.Tape() as tape:
+            step.wait()
+            step.wait()
+            out = ad.reduce_sum(y * y)
+            step.wait()
+        assert out.requires_grad
+        tape.backward(out)
+
+    in_two_threads(thread_a, thread_b)
+    assert len(calls) == 2
+    np.testing.assert_allclose(x.grad, 1 - np.tanh(x.data) ** 2, rtol=1e-15)
+    np.testing.assert_array_equal(y.grad, 2 * y.data)
 
 
 # ---------------------------------------------------------------- checkpoint

@@ -84,7 +84,8 @@ def test_train_manifest_contents(run_dir, dataset):
     assert manifest["command"] == "train"
     assert manifest["config"]["epochs"] == 4
     assert manifest["config"]["rng_seed"] == 1
-    assert manifest["dataset_fingerprint"] == cli.dataset_fingerprint(dataset)
+    task = kg.load_dbp15k(dataset, seed=1)
+    assert manifest["task_fingerprint"] == cli.task_fingerprint(task)
 
 
 def test_train_manifest_records_environment(dataset, tmp_path, monkeypatch):
@@ -257,6 +258,19 @@ def test_eval_rank_dump_writes_dataset_entity_ids(run_dir, dataset, tmp_path):
     assert set(dumped) <= refs
 
 
+def test_eval_on_other_data_of_the_same_shape_exits_data(run_dir, tmp_path, capsys):
+    # gen-synth's seed 4 with the run's dataset settings: every shape fits
+    other = tmp_path / "seed4"
+    assert run_cli("gen-synth", "--entities", "80", "--relations", "8",
+                   "--avg-degree", "4", "--emb-dim", "12", "--seed", "4",
+                   "--out", str(other)) == EXIT_OK
+    code = run_cli("eval", "--model", str(run_dir), "--data", str(other))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest.json: task_fingerprint differs" in err
+    assert "Traceback" not in err
+
+
 def test_eval_missing_checkpoint(dataset, tmp_path, capsys):
     code = run_cli("eval", "--model", str(tmp_path), "--data", str(dataset))
     assert code == EXIT_DATA
@@ -309,8 +323,10 @@ def _edit_config(**edits):
     (_edit_config(epochs=True), "bad config value: epochs must be an integer, got True"),
     (_edit_config(margin="3.0"), "bad config value: margin must be a real number, got '3.0'"),
     (_edit_config(semi="yes"), "bad config value: semi must be true or false, got 'yes'"),
+    (lambda text: json.dumps({key: value for key, value in json.loads(text).items()
+                              if key != "task_fingerprint"}), "no task_fingerprint"),
 ], ids=["unknown-key", "bad-value", "truncated", "no-config",
-        "float-for-int", "bool-for-int", "str-for-float", "str-for-bool"])
+        "float-for-int", "bool-for-int", "str-for-float", "str-for-bool", "no-fingerprint"])
 def test_eval_bad_manifest_config_exits_data(run_dir, dataset, tmp_path, capsys,
                                              edit, message):
     edited = tmp_path / "edited_run"
@@ -364,9 +380,7 @@ def test_eval_non_finite_embeddings_exit_numeric(run_dir, dataset, tmp_path, cap
         arrays = dict(bundle)
     arrays["triple.type_key_w"][...] = 1e308
     np.savez(checkpoint, **arrays)
-    _, cfg = cli._load_run(edited)
-    task = kg.load_dbp15k(dataset, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
-    params = training.load_checkpoint(checkpoint, task, cfg)
+    task, params, cfg = cli._load_run(edited, dataset)
     with np.errstate(invalid="ignore", over="ignore"):
         f1, _ = training.forward(task, params, cfg)
         assert not np.isfinite(f1.data).all()
