@@ -49,43 +49,45 @@ def task_fingerprint(task):
     return digest.hexdigest()
 
 
-def load_config_file(path):
-    """Parse flat `key = value` lines into TrainConfig overrides."""
-    overrides = {}
-    for lineno, line in enumerate(kg.read_text_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise DataError(f"{path}:{lineno}: expected `key = value`")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in CONFIG_FIELDS:
-            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in overrides:
-            raise DataError(f"{path}:{lineno}: repeated config key {key!r}")
-        try:
-            value = training.parse_field(key, raw.strip())
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad value for {key}") from None
-        try:
-            TrainConfig(**{key: value})  # every TrainConfig check reads one field
-        except ConfigError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        overrides[key] = value
-    return overrides
+def read_config(path):
+    """The JSON document at ``path`` and the ``TrainConfig`` its ``config``
+    object sets over the defaults: ``{"config": {"semi": true}}``, or any
+    run's ``manifest.json``. Raises ``DataError`` naming ``path`` for a file
+    that is not UTF-8 JSON, repeats a key in any object or has no ``config``
+    object, and for a config key or value that ``TrainConfig`` rejects."""
+    def unique_keys(pairs):
+        document = {}
+        for key, value in pairs:
+            if key in document:
+                raise DataError(f"{path}: repeated key {key!r}")
+            document[key] = value
+        return document
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = json.load(fh, object_pairs_hook=unique_keys)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    config = document.get("config") if isinstance(document, dict) else None
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: no config object")
+    unknown = sorted(set(config) - set(CONFIG_FIELDS))
+    if unknown:
+        raise DataError(f"{path}: unknown config key {unknown[0]!r}")
+    try:
+        return document, TrainConfig(**config)
+    except ConfigError as exc:
+        # every TrainConfig check names its key first
+        raise DataError(f"{path}: bad config value: {exc}") from None
 
 
 def resolve_config(args):
-    """Defaults, then config file, then explicit flags."""
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(load_config_file(args.config))
-    for field in CONFIG_FIELDS:
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    return TrainConfig(**overrides)
+    """Defaults, then the config file, then explicit flags."""
+    cfg = read_config(args.config)[1] if args.config else TrainConfig()
+    flags = {f: v for f, v in vars(args).items() if f in CONFIG_FIELDS and v is not None}
+    return dataclasses.replace(cfg, **flags)
 
 
 # thread counts that can change the order of BLAS summation, and so output bits
@@ -188,22 +190,7 @@ def _load_run(run_dir, data_dir):
         raise DataError(f"missing manifest: {manifest_path}")
     if not os.path.exists(checkpoint_path):
         raise DataError(f"missing checkpoint: {checkpoint_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest_path}: not valid JSON: {exc}") from None
-    config = manifest.get("config") if isinstance(manifest, dict) else None
-    if not isinstance(config, dict):
-        raise DataError(f"{manifest_path}: no config object")
-    unknown = sorted(set(config) - set(CONFIG_FIELDS))
-    if unknown:
-        raise DataError(f"{manifest_path}: unknown config key {unknown[0]!r}")
-    try:
-        cfg = TrainConfig(**config)
-    except ConfigError as exc:
-        # every TrainConfig check names its key first
-        raise DataError(f"{manifest_path}: bad config value: {exc}") from None
+    manifest, cfg = read_config(manifest_path)
     task = kg.load_dbp15k(data_dir, train_ratio=cfg.train_ratio, seed=cfg.rng_seed)
     params = training.load_checkpoint(checkpoint_path, task, cfg)
     # after the checkpoint's checks, which name what does not fit
@@ -309,7 +296,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train an alignment model")
     p.add_argument("--data", required=True)
-    p.add_argument("--config", help="flat `key = value` config file")
+    p.add_argument("--config", help="JSON file with a `config` object, such as a manifest.json")
     # one flag per TrainConfig field, which checks the value
     for field in dataclasses.fields(TrainConfig):
         flag = TRAIN_FLAGS.get(field.name, "--" + field.name.replace("_", "-"))

@@ -82,37 +82,19 @@ class TrainConfig:
 
 CONFIG_FIELDS = tuple(f.name for f in fields(TrainConfig))
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(text):
-    try:
-        return _BOOLS[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
-# what a TrainConfig field of each annotated type accepts, and the parser of
-# its stripped text form; bool is never a number
+# what a TrainConfig field of each annotated type accepts; bool is never a number
 _FIELD_TYPES = {
-    int: (numbers.Integral, "an integer", int),
-    float: (numbers.Real, "a real number", float),
-    bool: (bool, "true or false", _parse_bool),
-    str: (str, "a string", str),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
 }
 
 
 def _check_type(name, kind, value):
-    accepted, noun, _ = _FIELD_TYPES[kind]
+    accepted, noun = _FIELD_TYPES[kind]
     if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
-
-
-def parse_field(name, text):
-    """The value of TrainConfig field ``name`` written as stripped ``text``;
-    raises ``ValueError`` for text that is not of the field's type."""
-    return _FIELD_TYPES[TrainConfig.__annotations__[name]][2](text)
 
 
 def margin_loss(pos_dist, neg_dist, margin):

@@ -144,64 +144,73 @@ def test_train_missing_data_dir(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+def _write_config(path, config):
+    path.write_text(json.dumps({"config": config}))
+    return path
+
+
 def test_config_file_layering(dataset, tmp_path):
-    config = tmp_path / "train.cfg"
-    config.write_text("epochs = 5\nmargin = 2.0\n# comment\nd_r = 6\nd_t = 6\n")
+    config = _write_config(tmp_path / "train.json",
+                           {"epochs": 5, "margin": 2.0, "d_r": 6, "d_t": 6})
     out = tmp_path / "runcfg"
     assert run_cli("train", "--data", str(dataset), "--config", str(config),
                    "--epochs", "2", "--out", str(out)) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["epochs"] == 2  # flag overrides file
     assert manifest["config"]["margin"] == 2.0  # file overrides default
+    assert manifest["config"]["d_r"] == 6
 
 
 def test_config_file_unknown_key(dataset, tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("learning_rate = 1\n")
-    code = run_cli("train", "--data", str(dataset), "--config", str(config),
-                   "--out", str(tmp_path / "r"))
+    config = _write_config(tmp_path / "bad.json", {"learning_rate": 1})
+    out = tmp_path / "r"
+    code = run_cli("train", "--data", str(dataset), "--config", str(config), "--out", str(out))
     assert code == EXIT_DATA
-
-
-@pytest.mark.parametrize("line", ["semi = ture", "semi = flase", "semi = 2"])
-def test_config_file_bad_boolean_is_data_error(tmp_path, line):
-    config = tmp_path / "bad.cfg"
-    config.write_text(f"epochs = 3\n{line}\n")
-    key = line.split(" = ")[0]
-    with pytest.raises(cli.DataError, match=rf"bad\.cfg:2: bad value for {key}$"):
-        cli.load_config_file(config)
+    assert f"data error: {config}: unknown config key 'learning_rate'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_repeated_key_is_data_error(dataset, tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("epochs = 5\nmargin = 2.0\nepochs = 7\n")
+    config = tmp_path / "bad.json"
+    config.write_text('{"config": {"epochs": 5, "margin": 2.0, "epochs": 7}}')
     out = tmp_path / "r"
     code = run_cli("train", "--data", str(dataset), "--config", str(config), "--out", str(out))
     assert code == EXIT_DATA
-    assert f"data error: {config}:3: repeated config key 'epochs'" in capsys.readouterr().err
+    assert f"data error: {config}: repeated key 'epochs'" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_config_file_boolean_spellings(tmp_path):
-    config = tmp_path / "ok.cfg"
-    for spelling, value in (("YES", True), ("On", True), ("0", False), ("Off", False)):
-        config.write_text(f"semi = {spelling}\n")
-        assert cli.load_config_file(config) == {"semi": value}
+def _setting_id(value):
+    # `key = value` for a config, pytest's own id for a message
+    if isinstance(value, dict):
+        return ", ".join(f"{key} = {field}" for key, field in value.items())
 
 
-@pytest.mark.parametrize("line, message", [
-    ("margin = -1", "margin must be positive and finite"),
-    ("cycle_mode = 4", "cycle_mode must be 1, 2, or 3"),
-    ("variant = nope", "variant must be one of"),
-])
-def test_config_file_rejected_value_is_data_error(dataset, tmp_path, capsys, line, message):
-    config = tmp_path / "bad.cfg"
-    config.write_text(f"epochs = 3\n{line}\n")
+@pytest.mark.parametrize("setting, message", [
+    ({"margin": -1}, "margin must be positive and finite"),
+    ({"cycle_mode": 4}, "cycle_mode must be 1, 2, or 3"),
+    ({"variant": "nope"}, "variant must be one of"),
+    ({"semi": "yes"}, "semi must be true or false, got 'yes'"),
+], ids=_setting_id)
+def test_config_file_rejected_value_is_data_error(dataset, tmp_path, capsys, setting, message):
+    config = _write_config(tmp_path / "bad.json", {"epochs": 3, **setting})
     out = tmp_path / "r"
     code = run_cli("train", "--data", str(dataset), "--config", str(config), "--out", str(out))
     assert code == EXIT_DATA
-    assert f"data error: {config}:2: {message}" in capsys.readouterr().err
+    assert f"data error: {config}: bad config value: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_from_a_runs_manifest_reproduces_it(run_dir, dataset, tmp_path):
+    out = tmp_path / "rerun"
+    assert run_cli("train", "--data", str(dataset), "--config", str(run_dir / "manifest.json"),
+                   "--out", str(out)) == EXIT_OK
+    assert (out / "loss_log.tsv").read_bytes() == (run_dir / "loss_log.tsv").read_bytes()
+    # arrays, not bytes: np.savez stamps the zip entries' times
+    with np.load(run_dir / "checkpoint.npz") as want, np.load(out / "checkpoint.npz") as got:
+        assert sorted(got.files) == sorted(want.files)
+        for key in want.files:
+            assert np.array_equal(got[key], want[key]), key
 
 
 def test_train_flags_are_config_fields():
@@ -323,10 +332,13 @@ def _edit_config(**edits):
     (_edit_config(epochs=True), "bad config value: epochs must be an integer, got True"),
     (_edit_config(margin="3.0"), "bad config value: margin must be a real number, got '3.0'"),
     (_edit_config(semi="yes"), "bad config value: semi must be true or false, got 'yes'"),
+    (lambda text: text.replace('"config": {', '"config": {"epochs": 9, ', 1),
+     "repeated key 'epochs'"),
     (lambda text: json.dumps({key: value for key, value in json.loads(text).items()
                               if key != "task_fingerprint"}), "no task_fingerprint"),
 ], ids=["unknown-key", "bad-value", "truncated", "no-config",
-        "float-for-int", "bool-for-int", "str-for-float", "str-for-bool", "no-fingerprint"])
+        "float-for-int", "bool-for-int", "str-for-float", "str-for-bool", "repeated-key",
+        "no-fingerprint"])
 def test_eval_bad_manifest_config_exits_data(run_dir, dataset, tmp_path, capsys,
                                              edit, message):
     edited = tmp_path / "edited_run"
@@ -337,6 +349,18 @@ def test_eval_bad_manifest_config_exits_data(run_dir, dataset, tmp_path, capsys,
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert f"manifest.json: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_eval_manifest_not_utf8_exits_data(run_dir, dataset, tmp_path, capsys):
+    edited = tmp_path / "edited_run"
+    shutil.copytree(run_dir, edited)
+    manifest = edited / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes().replace(b'"train"', b'"tr\xffin"', 1))
+    code = run_cli("eval", "--model", str(edited), "--data", str(dataset))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest.json: not valid UTF-8" in err
     assert "Traceback" not in err
 
 

@@ -48,9 +48,9 @@ sys.setprofile(profile)
 from kgalign import cli
 
 data, bad, run = (os.path.join(work, name) for name in ("data", "bad", "run"))
-config = os.path.join(work, "train.cfg")
+config = os.path.join(work, "train.json")
 with open(config, "w", encoding="utf-8") as fh:
-    fh.write("semi = true\nmargin = 2.5\n")  # one bool and one numeric field
+    json.dump({"config": {"semi": True, "margin": 2.5}}, fh)  # one bool and one numeric field
 
 codes = {}
 
